@@ -1,9 +1,9 @@
 // AVX2 tier of the quantized Viterbi ACS kernel: 16 butterflies per 256-bit
 // register, so one iteration covers half the trellis. This TU alone is
 // compiled with -mavx2 (when the compiler supports it; see CMakeLists.txt,
-// which also defines GEOSPHERE_HAVE_AVX2_VITERBI for it); dispatch.cpp only
-// hands the kernel out after a runtime cpuid check, so a portable binary
-// never executes AVX2 instructions on a host without them.
+// which also defines GEOSPHERE_HAVE_AVX2_VITERBI for it); the kernel
+// registry only hands the kernel out after a runtime cpuid check, so a
+// portable binary never executes AVX2 instructions on a host without them.
 //
 // _mm256_packs_* operate within 128-bit lanes, so the even/odd metric
 // deinterleave is followed by a permute4x64 that restores natural butterfly

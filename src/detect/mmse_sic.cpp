@@ -40,56 +40,6 @@ void MmseSicDetector::do_prepare(const linalg::CMatrix& h, double noise_var) {
   }
 }
 
-void MmseSicDetector::do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
-                                       double noise_var) {
-  if (count == 0) return;
-  const std::size_t nc = hs[0].cols();
-
-  slot_stages_.assign(count, {});
-  slot_singular_.assign(count, 0);
-
-  // Per-slot detection order, exactly as in do_prepare.
-  std::vector<std::vector<std::size_t>> remaining(count);
-  std::vector<double> energy(nc);
-  for (std::size_t s = 0; s < count; ++s) {
-    std::vector<std::size_t>& order = remaining[s];
-    order.resize(nc);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    for (std::size_t k = 0; k < nc; ++k) energy[k] = linalg::norm_sq(hs[s].col(k));
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return energy[a] > energy[b]; });
-    slot_stages_[s].reserve(nc);
-  }
-
-  // Stage-major: every slot's stage-k reduced system has the same shape, so
-  // one packed Gram inversion covers the whole batch per stage.
-  std::vector<linalg::CMatrix> hsubs(count);
-  std::vector<prepare::GramInvSlot> gram_slots;
-  for (std::size_t k = 0; k < nc; ++k) {
-    for (std::size_t s = 0; s < count; ++s)
-      hsubs[s] = hs[s].select_cols(remaining[s]);
-    batch_linear_.gram_inverse(hsubs.data(), count, /*add_noise=*/true, noise_var,
-                               gram_slots);
-    for (std::size_t s = 0; s < count; ++s) {
-      if (gram_slots[s].singular) slot_singular_[s] = 1;
-      Stage stage;
-      stage.target = remaining[s].front();
-      stage.hh = std::move(gram_slots[s].hh);
-      stage.filter_row = gram_slots[s].inv.row(0);
-      stage.column = hs[s].col(stage.target);
-      slot_stages_[s].push_back(std::move(stage));
-      remaining[s].erase(remaining[s].begin());
-    }
-  }
-}
-
-void MmseSicDetector::do_select_prepared(std::size_t i) {
-  // The scalar path throws mid-cascade at the first singular stage; the
-  // batch records the failure and surfaces the same error here.
-  if (slot_singular_[i]) throw std::domain_error("inverse/solve: singular matrix");
-  stages_ = slot_stages_[i];
-}
-
 void MmseSicDetector::do_solve(const CVector& y, DetectionResult& out) {
   DetectionStats stats;
   residual_ = y;

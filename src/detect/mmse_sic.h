@@ -3,11 +3,9 @@
 // limited by error propagation in practice.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "detect/detector.h"
-#include "detect/prepare/batch_linear.h"
 
 namespace geosphere {
 
@@ -32,14 +30,6 @@ class MmseSicDetector final : public Detector {
   /// Runs each cancellation stage across the whole batch: one mat-mat
   /// matched filter per stage instead of a mat-vec per (stage, column).
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
-  /// Stage-major packed preparation: per-slot detection orders first, then
-  /// one packed regularized-Gram inversion (prepare/batch_linear.h) per
-  /// cancellation stage across all slots. Each slot's cascade is
-  /// bit-identical to its scalar do_prepare(); a stage-singular slot is
-  /// flagged and the scalar path's domain_error rethrown at select time.
-  void do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
-                        double noise_var) override;
-  void do_select_prepared(std::size_t i) override;
 
  private:
   /// One cancellation stage: the MMSE estimate of `target` over the
@@ -53,9 +43,6 @@ class MmseSicDetector final : public Detector {
   };
 
   std::vector<Stage> stages_;
-  prepare::BatchLinear batch_linear_;
-  std::vector<std::vector<Stage>> slot_stages_;  ///< Per-slot cascades.
-  std::vector<std::uint8_t> slot_singular_;      ///< Deferred domain_error flags.
   CVector residual_;  ///< Per-solve scratch.
   CVector matched_;   ///< Per-solve scratch (H_sub^H residual).
   linalg::CMatrix residual_batch_;  ///< Per-batch scratch (one column per vector).

@@ -1,7 +1,7 @@
 // Packed Gram construction and Gauss-Jordan inversion across a batch of
 // equally shaped channel matrices: the shared engine behind the linear
 // detectors' prepare_batch() overrides (ZF's pseudo-inverse, MMSE's
-// regularized Gram inverse, MMSE-SIC's per-stage filter cascade).
+// regularized Gram inverse).
 //
 // Each slot is bit-identical to the scalar linalg calls it replaces
 // (linalg::inverse / linalg::pseudo_inverse on hs[i]); lanes that hit the

@@ -1,19 +1,7 @@
 // Runtime kernel dispatch: which SIMD tier drives the batched channel-
-// preparation layer in this process.
-//
-// Selection order (shared with the other kernel layers -- one env switch
-// covers the whole binary):
-//   1. A programmatic override (set_kernel_override, used by parity tests
-//      and the latency bench).
-//   2. The GEOSPHERE_KERNEL environment variable: "scalar", "sse2", "avx2",
-//      or "auto" (unknown / unsupported names throw on first use -- a typo
-//      must not silently fall back to a different tier).
-//   3. Auto: the widest kernel that is both compiled into the binary and
-//      supported by the host CPU (cpuid-checked for AVX2).
-//
-// The scalar reference kernel is always compiled and always supported; it
-// is the tier golden comparisons pin (GEOSPHERE_KERNEL=scalar) and the only
-// tier on non-x86 builds.
+// preparation layer in this process. Selection order and the
+// GEOSPHERE_KERNEL contract are the shared KernelRegistry's
+// (src/common/kernel_registry.h) -- one env switch covers every layer.
 #pragma once
 
 #include <vector>
@@ -26,23 +14,22 @@ namespace geosphere::prepare::simd {
 const Kernel& scalar_kernel();
 
 /// Every kernel compiled into this binary, scalar first, widest last.
-std::vector<const Kernel*> compiled_kernels();
+const std::vector<const Kernel*>& compiled_kernels();
 
 /// The compiled kernels the host CPU can execute, scalar first, widest
 /// last. This is the menu GEOSPHERE_KERNEL and set_kernel_override select
 /// from.
-std::vector<const Kernel*> supported_kernels();
+const std::vector<const Kernel*>& supported_kernels();
 
 /// The kernel the batched-prepare drivers use right now (override > env >
-/// auto). The env/auto choice is resolved once and cached; overrides take
-/// effect immediately. Throws std::invalid_argument if GEOSPHERE_KERNEL
-/// names an unknown or unsupported kernel.
+/// auto). Throws std::invalid_argument if GEOSPHERE_KERNEL names an unknown
+/// or unsupported kernel.
 const Kernel& active_kernel();
 
 /// Force a tier by name ("scalar"/"sse2"/"avx2"), or pass nullptr to
 /// restore the default env/auto selection. Throws std::invalid_argument for
-/// names not in supported_kernels(). Not thread-safe against concurrent
-/// detection -- a test/bench hook, not a production switch.
+/// names not in supported_kernels(). A test/bench hook, not thread-safe
+/// against concurrent detection.
 void set_kernel_override(const char* name);
 
 }  // namespace geosphere::prepare::simd

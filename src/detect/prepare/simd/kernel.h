@@ -3,8 +3,8 @@
 // inversion across a structure-of-arrays batch of equally shaped channel
 // matrices (one matrix per lane -- the SUBCARRIER dimension of a frame).
 //
-// Unlike the tree-search lane engine (src/detect/sphere/simd/), whose lanes
-// are received vectors racing through data-dependent control flow,
+// Unlike the depth-first tree searches, whose received vectors race
+// through data-dependent control flow,
 // factorization has fixed-length, data-independent control flow: every lane
 // performs the same reflector applications, row updates and products, so
 // packing matrices as lanes is the classic batched-small-QR win. The only

@@ -1,8 +1,8 @@
 // AVX2 kernel tier: four matrix lanes per 256-bit register. This TU alone
 // is compiled with -mavx2 (when the compiler supports it; see
 // CMakeLists.txt, which also defines GEOSPHERE_HAVE_AVX2_KERNEL for it) --
-// the rest of the library stays at the portable baseline, and dispatch.cpp
-// only hands out this kernel after a runtime cpuid check.
+// the rest of the library stays at the portable baseline, and the kernel
+// registry only hands out this kernel after a runtime cpuid check.
 //
 // No FMA anywhere, even though AVX2 hosts have it: fused multiply-adds skip
 // the intermediate rounding and would break bit-identity with the scalar

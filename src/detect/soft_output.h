@@ -28,7 +28,6 @@
 #include "detect/detector.h"
 #include "detect/prepare/batch_qr.h"
 #include "detect/sphere/enumerators.h"
-#include "detect/sphere/lane_engine.h"
 #include "detect/sphere/simd/rotate.h"
 #include "linalg/matrix.h"
 
@@ -62,17 +61,12 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
 
   /// One SIMD-batched Q^H Y rotation (vectors as lanes, see simd/rotate.h)
   /// plus packed root-center divides, then the columns' unconstrained
-  /// searches run per-vector (the default W = 1 lane policy) or as
-  /// lockstep lanes of the SoA engine (see lane_engine.h).
+  /// searches run per-vector.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
 
-  /// SIMD-batched rotation shared across the batch, then the ~1 +
-  /// streams*Q searches per vector. Under the default W = 1 lane policy
-  /// each vector's soft solve runs sequentially against its rotated row;
-  /// under a lockstep policy (GEOSPHERE_LANES) two lane-engine passes run
-  /// instead -- every column's unconstrained search first, then the pooled
-  /// ~count*streams*Q counter-hypothesis searches, each constrained search
-  /// a lane. Bit-identical either way.
+  /// SIMD-batched rotation and packed root centers shared across the
+  /// batch, then each vector's ~1 + streams*Q searches run against its
+  /// rotated row -- bit-identical to looping do_solve_soft.
   void do_solve_soft_batch(const linalg::CMatrix& y_batch, SoftBatchResult& out) override;
 
   /// Packed Householder QR across the batch (prepare/batch_qr.h); select
@@ -112,10 +106,12 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
     return cf64(yhat[root].real() / d, yhat[root].imag() / d);
   }
 
-  /// The soft solve against the already-loaded yhat_ (everything in
-  /// do_solve_soft after load()): unconstrained search + per-bit
-  /// counter-hypothesis searches.
-  void solve_soft_loaded(SoftDetectionResult& out);
+  /// The soft solve of one rotated vector with root-level center `root`:
+  /// unconstrained search + per-bit counter-hypothesis searches, writing
+  /// the nc decisions to `indices` and the nc * Q LLRs (stream-major) to
+  /// `llrs`.
+  void solve_soft_row(const cf64* yhat, cf64 root, unsigned* indices, double* llrs,
+                      DetectionStats& stats);
 
   double llr_clamp_;
 
@@ -151,17 +147,10 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
   std::vector<double> partial_;
   std::vector<std::uint8_t> ml_bits_;
 
-  // Per-batch workspaces. (The per-vector soft path keeps its own scalar
-  // search; the batch paths below share the SIMD rotation and -- under a
-  // lockstep lane policy -- the lane engine.)
+  // Per-batch workspaces (the shared SIMD rotation).
   linalg::CMatrix yhat_t_batch_;  ///< (Q^H Y)^T -- one row per vector.
   sphere::simd::RotateScratch rot_scratch_;
   std::vector<cf64> root_centers_;  ///< Packed per-vector root centers.
-  sphere::LaneTreeSearch<sphere::GeoEnumerator> lane_engine_;
-  std::vector<sphere::LaneJob> jobs_;          ///< Unconstrained searches.
-  std::vector<sphere::LaneJob> counter_jobs_;  ///< Per-(vector, stream, bit).
-  std::vector<double> ml_dist_;              ///< Per-vector ML distance.
-  std::vector<std::uint8_t> ml_bits_batch_;  ///< count x streams x Q ML bits.
 };
 
 }  // namespace geosphere

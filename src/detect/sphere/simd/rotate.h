@@ -2,7 +2,7 @@
 // received vectors as SIMD lanes. This is the one place in the batched
 // detection hot path where lanes never diverge -- every vector multiplies by
 // the same Q^H row -- so packing the batch dimension is a pure win, unlike
-// the lockstep tree searches (see simd::tree_lane_count).
+// packing the data-dependent tree searches themselves.
 //
 // Bit-identity contract: per output element this performs the exact
 // accumulation sequence of linalg::multiply_transpose_into's buffered

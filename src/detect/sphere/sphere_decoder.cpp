@@ -228,51 +228,20 @@ void SphereDecoder<Enumerator>::do_solve_batch(const linalg::CMatrix& y_batch,
   out.indices.resize(count * nc_);
   DetectionStats stats;
 
-  if (LaneTreeSearch<Enumerator>::lanes() == 1) {
-    // Sequential lane policy (the default; see simd::tree_lane_count): the
-    // per-vector search runs each row directly -- only the root-center
-    // divides remain batch-wide lockstep work, packed here.
-    simd::packed_root_centers(yhat_t_batch_, nc_ - 1, level_diag_[nc_ - 1],
-                              root_centers_, rot_scratch_);
-    for (std::size_t v = 0; v < count; ++v) {
-      if (!search(yhat_t_batch_.row_data(v), stats, root_centers_[v]))
-        throw std::runtime_error(
-            "SphereDecoder: no solution inside the configured initial radius");
-      unsigned* dst = out.indices.data() + v * nc_;
-      if (perm_is_identity_) {
-        for (std::size_t j = 0; j < nc_; ++j) dst[j] = best_[j];
-      } else {
-        for (std::size_t j = 0; j < nc_; ++j) dst[perm_[j]] = best_[j];
-      }
-    }
-    out.stats = stats;
-    return;
-  }
-
-  // Lockstep lane policy (GEOSPHERE_LANES): the rows become lane jobs and
-  // the engine runs W searches in lockstep through the dispatched SIMD
-  // kernel, refilling lanes as searches retire. With the unsorted QR the
-  // winning paths land directly in out.indices; sorted QR goes through
-  // lane_best_ and undoes the permutation after.
-  jobs_.assign(count, LaneJob{});
-  if (!perm_is_identity_) lane_best_.resize(count * nc_);
+  // Only the root-center divides are batch-wide lockstep work, packed
+  // here; each row then runs the per-vector search directly.
+  simd::packed_root_centers(yhat_t_batch_, nc_ - 1, level_diag_[nc_ - 1], root_centers_,
+                            rot_scratch_);
   for (std::size_t v = 0; v < count; ++v) {
-    jobs_[v].yhat = yhat_t_batch_.row_data(v);
-    jobs_[v].best_out =
-        perm_is_identity_ ? out.indices.data() + v * nc_ : lane_best_.data() + v * nc_;
-    jobs_[v].radius_sq = config_.initial_radius_sq;
-  }
-  lane_engine_.configure(r_, level_scale_, level_diag_, constellation(), prototype_);
-  lane_engine_.run(jobs_.data(), count, stats);
-
-  for (std::size_t v = 0; v < count; ++v)
-    if (!jobs_[v].found)
+    if (!search(yhat_t_batch_.row_data(v), stats, root_centers_[v]))
       throw std::runtime_error(
           "SphereDecoder: no solution inside the configured initial radius");
-  if (!perm_is_identity_) {
-    for (std::size_t v = 0; v < count; ++v)
-      for (std::size_t j = 0; j < nc_; ++j)
-        out.indices[v * nc_ + perm_[j]] = lane_best_[v * nc_ + j];
+    unsigned* dst = out.indices.data() + v * nc_;
+    if (perm_is_identity_) {
+      for (std::size_t j = 0; j < nc_; ++j) dst[j] = best_[j];
+    } else {
+      for (std::size_t j = 0; j < nc_; ++j) dst[perm_[j]] = best_[j];
+    }
   }
   out.stats = stats;
 }

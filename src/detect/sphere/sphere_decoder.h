@@ -22,7 +22,6 @@
 #include "detect/detector.h"
 #include "detect/prepare/batch_qr.h"
 #include "detect/sphere/enumerators.h"
-#include "detect/sphere/lane_engine.h"
 #include "detect/sphere/preprocess.h"
 #include "detect/sphere/simd/rotate.h"
 
@@ -63,11 +62,9 @@ class SphereDecoder final : public Detector {
   void do_prepare(const linalg::CMatrix& h, double noise_var) override;
   void do_solve(const CVector& y, DetectionResult& out) override;
   /// One SIMD-batched Q^H Y rotation for the whole batch (vectors as lanes,
-  /// see simd/rotate.h) plus packed root-center divides, then the rows run
-  /// through the per-vector search (the default W = 1 lane policy) or as
-  /// lockstep lanes of the SoA engine (see lane_engine.h and
-  /// simd::tree_lane_count). Bit-identical to looping do_solve over the
-  /// columns on every tier and under either policy.
+  /// see simd/rotate.h) plus packed root-center divides, then each row runs
+  /// the per-vector search. Bit-identical to looping do_solve over the
+  /// columns on every kernel tier.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
   /// Packed Householder QR across the batch (prepare/batch_qr.h), with
   /// per-slot column orderings first when sorted QR is configured; select
@@ -126,13 +123,9 @@ class SphereDecoder final : public Detector {
   std::size_t batch_na_ = 0;
   std::size_t batch_nc_ = 0;
 
-  // Batched-solve state: SIMD rotation scratch (see simd/rotate.h) and the
-  // lane engine for the lockstep policy (see lane_engine.h).
+  // Batched-solve state: SIMD rotation scratch (see simd/rotate.h).
   simd::RotateScratch rot_scratch_;
   std::vector<cf64> root_centers_;  ///< Packed per-vector root centers.
-  LaneTreeSearch<Enumerator> lane_engine_;
-  std::vector<LaneJob> jobs_;
-  std::vector<unsigned> lane_best_;  ///< Pre-permutation paths (sorted QR only).
 };
 
 /// Geosphere: 2D zigzag enumeration + geometric pruning (the full system).

@@ -28,12 +28,14 @@ double LatencyRecorder::bucket_floor_ns(std::size_t index) {
 void LatencyRecorder::record(std::uint64_t ns) {
   ++counts_[bucket_of(ns)];
   ++count_;
+  min_ns_ = std::min(min_ns_, ns);
   max_ns_ = std::max(max_ns_, ns);
 }
 
 void LatencyRecorder::merge(const LatencyRecorder& o) {
   for (std::size_t i = 0; i < kBuckets; ++i) counts_[i] += o.counts_[i];
   count_ += o.count_;
+  min_ns_ = std::min(min_ns_, o.min_ns_);
   max_ns_ = std::max(max_ns_, o.max_ns_);
 }
 
@@ -44,14 +46,14 @@ double LatencyRecorder::percentile_ns(double p) const {
       1, static_cast<std::uint64_t>(
              std::ceil(clamped * static_cast<double>(count_))));
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
+  std::size_t i = 0;
+  for (; i + 1 < kBuckets; ++i) {
     seen += counts_[i];
-    if (seen >= rank) {
-      // Geometric midpoint of [floor, floor * ratio): sqrt(ratio) * floor.
-      return bucket_floor_ns(i) * std::sqrt(kRatio);
-    }
+    if (seen >= rank) break;
   }
-  return bucket_floor_ns(kBuckets - 1) * std::sqrt(kRatio);
+  // Geometric midpoint of [floor, floor * ratio): sqrt(ratio) * floor.
+  return std::clamp(bucket_floor_ns(i) * std::sqrt(kRatio), static_cast<double>(min_ns_),
+                    static_cast<double>(max_ns_));
 }
 
 }  // namespace geosphere::serve

@@ -6,10 +6,12 @@
 // deterministic counter bit-identical for 1 vs 4 worker threads.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
+#include "common/rng.h"
 #include "serve/latency.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
@@ -21,6 +23,7 @@ namespace {
 TEST(LatencyRecorder, EmptyRecorder) {
   const LatencyRecorder rec;
   EXPECT_EQ(rec.count(), 0u);
+  EXPECT_EQ(rec.min_ns(), 0u);
   EXPECT_EQ(rec.max_ns(), 0u);
   EXPECT_EQ(rec.percentile_ns(0.5), 0.0);
   EXPECT_EQ(rec.percentile_ns(1.0), 0.0);
@@ -75,9 +78,61 @@ TEST(LatencyRecorder, MergeMatchesCombinedRecording) {
   }
   a.merge(b);
   EXPECT_EQ(a.count(), combined.count());
+  EXPECT_EQ(a.min_ns(), combined.min_ns());
   EXPECT_EQ(a.max_ns(), combined.max_ns());
   for (const double p : {0.1, 0.5, 0.9, 0.99, 1.0})
     EXPECT_EQ(a.percentile_ns(p), combined.percentile_ns(p));
+}
+
+/// Heavy-tailed latencies (log-uniform over ~five decades), recorded into
+/// `parts` recorders round-robin and into `combined`.
+void record_log_uniform(Rng& rng, std::size_t n, std::vector<LatencyRecorder>& parts,
+                        LatencyRecorder& combined) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto ns = static_cast<std::uint64_t>(std::exp(4.0 + 12.0 * rng.uniform()));
+    parts[i % parts.size()].record(ns);
+    combined.record(ns);
+  }
+}
+
+const double kProbes[] = {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1.0};
+
+TEST(LatencyRecorder, PercentilesAreMonotoneAndWithinMinMax) {
+  // The regression this guards: a bucket midpoint above the largest value
+  // in its bucket made p99 exceed max. Small counts put the top ranks in a
+  // sparsely filled bucket, so sweep sizes from 1 up.
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 50u, 1000u}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      Rng rng(seed * 1000 + n);
+      std::vector<LatencyRecorder> parts(1);
+      LatencyRecorder rec;
+      record_log_uniform(rng, n, parts, rec);
+      double prev = 0.0;
+      for (const double p : kProbes) {
+        const double v = rec.percentile_ns(p);
+        EXPECT_GE(v, prev) << "n=" << n << " seed=" << seed << " p=" << p;
+        EXPECT_GE(v, static_cast<double>(rec.min_ns())) << "n=" << n << " p=" << p;
+        EXPECT_LE(v, static_cast<double>(rec.max_ns())) << "n=" << n << " p=" << p;
+        prev = v;
+      }
+    }
+  }
+}
+
+TEST(LatencyRecorder, MergedPercentilesEqualCombinedRecording) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    std::vector<LatencyRecorder> parts(4);
+    LatencyRecorder combined;
+    record_log_uniform(rng, 37 * seed, parts, combined);
+    LatencyRecorder merged;
+    for (const LatencyRecorder& part : parts) merged.merge(part);
+    EXPECT_EQ(merged.count(), combined.count());
+    EXPECT_EQ(merged.min_ns(), combined.min_ns());
+    EXPECT_EQ(merged.max_ns(), combined.max_ns());
+    for (const double p : kProbes)
+      EXPECT_EQ(merged.percentile_ns(p), combined.percentile_ns(p)) << "seed=" << seed;
+  }
 }
 
 TEST(CellScheduler, NeverExceedsAntennasAndOnlySchedulesBackloggedUsers) {
