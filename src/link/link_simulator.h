@@ -5,16 +5,13 @@
 // simulate_frame(detector, DecisionMode, ...) feeds either hard symbol
 // indices to the hard Viterbi or max-log LLRs to the soft Viterbi.
 //
-// Detection follows the three-phase Detector contract: the frame loop is
-// subcarrier-major, preparing each of the nsc per-subcarrier channel
-// matrices once (Detector::prepare), assembling all ofdm_symbols received
-// vectors that use it as the columns of one batch, and solving the batch
-// in a single call (Detector::solve_batch / SoftDetector::solve_soft_batch)
-// -- so LinkStats shows preprocess_calls == batch_calls == frames * nsc
-// while detection_calls == frames * nsc * ofdm_symbols. The RNG draw order
-// (and therefore every statistic) is bit-identical to the historical
-// symbol-major per-vector loop: all noise is pre-drawn in that order, and
-// batched solves are bit-identical to per-vector solves by contract.
+// A frame is the shared frame path of link/frame_path.h, the one
+// serve::Server runs too: draw_frame, detect_frame (one prepare_batch per
+// frame, one select and one batched solve per subcarrier), decode_frame
+// (CRC delivery). So LinkStats shows prepare_batch_calls == frames,
+// preprocess_calls == batch_calls == frames * nsc and detection_calls ==
+// frames * nsc * ofdm_symbols, and every statistic is bit-identical to the
+// historical symbol-major per-vector loop.
 #pragma once
 
 #include <cstddef>

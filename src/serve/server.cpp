@@ -6,8 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "channel/noise.h"
 #include "common/rng.h"
+#include "link/frame_path.h"
 #include "phy/frame.h"
 
 namespace geosphere::serve {
@@ -35,61 +35,25 @@ void CellCounters::hash_mix(std::uint64_t value) {
 
 namespace {
 
-/// One scheduled MU-MIMO frame in flight through a TTI: the transmit-side
-/// state built in the schedule phase and the receive-side buffers the
-/// detect phase scatters into. A frame is one work item: the worker that
-/// takes it batch-prepares all nsc subcarrier channels in one call, then
-/// solves them slot by slot.
+/// A cell's MU-MIMO frame in flight through a TTI: the shared frame path's
+/// transmit side (built in the schedule phase), the decisions the detect
+/// phase writes and the cell's decode pipeline (used in the deliver phase).
+/// A frame is one detect work item; a cell's FrameJob is reused across
+/// TTIs, so its decision and decode buffers are allocated once.
 struct FrameJob {
-  std::size_t cell = 0;
-  std::vector<std::size_t> users;  ///< Scheduled users, stream k = users[k].
-  unsigned qam = 0;
-  std::size_t streams = 0;
-  std::size_t antennas = 0;
-  std::size_t nsc = 0;
-  std::size_t ofdm_symbols = 0;
-  unsigned q = 0;  ///< Bits per symbol.
-  bool soft = false;
-  double n0 = 0.0;
-  const DetectorSpec* det_spec = nullptr;
   const phy::FrameCodec* codec = nullptr;
-  channel::Link link;
-  std::vector<phy::EncodedFrame> tx;
-  /// Hard path: per-stream detected symbol indices, rx[k][sym * nsc + sc].
-  std::vector<std::vector<unsigned>> rx;
-  /// Soft path: per-stream bit confidences, rx_conf[k][(sym*nsc+sc)*q + b].
-  std::vector<std::vector<double>> rx_conf;
-  /// Pre-drawn symbol-major noise, noise[(sym * nsc + sc) * antennas + i]
-  /// -- the LinkSimulator draw-order convention.
-  std::vector<cf64> noise;
-};
-
-/// Per-worker detection scratch, reused across items, TTIs and runs.
-struct WorkerScratch {
-  CVector x;
-  CVector y;
-  linalg::CMatrix y_batch;
-  BatchResult batch;
-  SoftBatchResult soft_batch;
-  std::vector<double> conf;
+  link::DrawnFrame frame;
+  link::FrameDecisions decisions;
+  link::CodedPipeline pipeline;
+  std::vector<link::StreamDecodeResult> results;
 };
 
 }  // namespace
 
 Server::Server(ServeSpec spec, std::size_t threads)
-    : spec_(std::move(spec)), pool_(threads), detector_cache_(pool_.size()) {
+    : spec_(std::move(spec)), pool_(threads), detectors_(pool_.size()) {
   if (spec_.cells.empty())
     throw std::invalid_argument("serve::Server: spec has no cells");
-}
-
-Detector& Server::worker_detector(std::size_t worker, const DetectorSpec& spec,
-                                  unsigned qam_order) {
-  auto& cache = detector_cache_[worker];
-  const std::string key = spec.text() + "@" + std::to_string(qam_order);
-  auto it = cache.find(key);
-  if (it == cache.end())
-    it = cache.emplace(key, spec.create(Constellation::qam(qam_order))).first;
-  return *it->second;
 }
 
 ServeResult Server::run(std::uint64_t ttis, std::uint64_t seed) {
@@ -123,19 +87,18 @@ ServeResult Server::run(std::uint64_t ttis, std::uint64_t seed) {
       nworkers, std::vector<std::uint64_t>(ncells, 0));
   std::vector<std::vector<LatencyRecorder>> worker_latency(
       nworkers, std::vector<LatencyRecorder>(ncells));
-  std::vector<WorkerScratch> scratch(nworkers);
+  std::vector<link::DetectScratch> scratch(nworkers);
 
-  std::vector<std::unique_ptr<FrameJob>> jobs(ncells);
+  std::vector<FrameJob> jobs(ncells);
   std::vector<CellSchedule> scheds(ncells);
   std::vector<std::size_t> items;  // Scheduled frames, by cell.
 
   for (std::uint64_t tti = 0; tti < ttis; ++tti) {
     // --- Phase 1 (schedule): arrivals, user selection, rate choice and
-    // frame assembly, one cell per pool iteration. All randomness comes
+    // the frame draw, one cell per pool iteration. All randomness comes
     // from (seed, cell, tti)-derived streams, so the parallel order is
     // irrelevant to the result.
     pool_.parallel_for(ncells, [&](std::size_t c) {
-      jobs[c].reset();
       CellScheduler& sch = schedulers[c];
       const CellSpec& cs = sch.spec();
       scheds[c] = sch.schedule_tti(tti);
@@ -152,46 +115,16 @@ ServeResult Server::run(std::uint64_t ttis, std::uint64_t seed) {
                                                      // bit-identical across tiers.
         codec_it = codecs[c].emplace(sched.qam, phy::FrameCodec(cfg)).first;
       }
-      const phy::FrameCodec& codec = codec_it->second;
-
-      auto job = std::make_unique<FrameJob>();
-      job->cell = c;
-      job->users = sched.users;
-      job->qam = sched.qam;
-      job->streams = sched.users.size();
-      job->antennas = cs.antennas;
-      job->nsc = codec.config().data_subcarriers;
-      job->ofdm_symbols = codec.ofdm_symbols_per_frame();
-      job->q = codec.constellation().bits_per_symbol();
-      job->soft = sch.detector().decision() == DecisionMode::kSoft;
-      job->n0 = channel::noise_variance_for_snr_db(sched.snr_db);
-      job->det_spec = &sch.detector();
-      job->codec = &codec;
 
       // The frame's channel, payloads and noise all come from one
       // (seed, cell, tti, frame)-derived stream -- frame 0, since each
-      // cell-TTI transmits one jointly detected MU-MIMO frame. Draw order
-      // matches LinkSimulator::simulate_frame: link, then payloads, then
-      // symbol-major noise.
+      // cell-TTI transmits one jointly detected MU-MIMO frame. The cell's
+      // SNR is the scheduled group's, with no jitter.
+      FrameJob& job = jobs[c];
+      job.codec = &codec_it->second;
       Rng rng(Rng::derive_seed(seed, c, tti, 0));
-      job->link = sch.channel(job->streams).draw_link(rng, job->nsc);
-      job->tx.resize(job->streams);
-      if (job->soft)
-        job->rx_conf.resize(job->streams);
-      else
-        job->rx.resize(job->streams);
-      for (std::size_t k = 0; k < job->streams; ++k) {
-        job->tx[k] = codec.encode(rng.bits(codec.config().payload_bits()));
-        if (job->soft)
-          job->rx_conf[k].assign(job->ofdm_symbols * job->nsc * job->q, 0.5);
-        else
-          job->rx[k].assign(job->ofdm_symbols * job->nsc, 0);
-      }
-      if (job->n0 > 0.0) {
-        job->noise.resize(job->ofdm_symbols * job->nsc * job->antennas);
-        for (auto& v : job->noise) v = rng.cgaussian(job->n0);
-      }
-      jobs[c] = std::move(job);
+      job.frame = link::draw_frame(sch.channel(sched.users.size()), *job.codec,
+                                   sched.snr_db, 0.0, rng);
     });
 
     // Deterministic bookkeeping, cells in order on the calling thread: the
@@ -206,7 +139,7 @@ ServeResult Server::run(std::uint64_t ttis, std::uint64_t seed) {
       cc.hash_mix(sched.users.size());
       for (const std::size_t u : sched.users) cc.hash_mix(u);
       cc.hash_mix(sched.qam);
-      if (jobs[c]) {
+      if (!sched.users.empty()) {
         ++cc.scheduled_frames;
         cc.scheduled_users += sched.users.size();
         result.cells[c].schedule_log.push_back(sched);
@@ -215,113 +148,55 @@ ServeResult Server::run(std::uint64_t ttis, std::uint64_t seed) {
     }
 
     // --- Phase 2 (detect): each scheduled frame is one work item, pulled
-    // from a shared counter by every worker. The worker batch-prepares the
-    // frame's nsc subcarrier channels in ONE prepare_batch call (the packed
-    // SIMD drivers under src/detect/prepare/ factorize them as lanes), then
-    // selects each slot and batch-solves all the frame's OFDM symbols on
-    // it. Frame latency runs from the TTI's dispatch to the frame item
-    // completing. Counters are the work-item layout's exact sums (one
-    // prepare_batch_call per frame, one preprocess_call per subcarrier), so
-    // they stay byte-identical across thread counts and kernel tiers.
+    // from a shared counter by every worker and run through the shared
+    // detect_frame (one prepare_batch per frame, one select and one
+    // batched solve per subcarrier) on the worker's cached detector. Frame
+    // latency runs from the TTI's dispatch to the frame item completing.
+    // Counters are per-frame sums, so they stay byte-identical across
+    // thread counts and kernel tiers.
     if (!items.empty()) {
       const auto t_start = std::chrono::steady_clock::now();
       std::atomic<std::size_t> next{0};
       pool_.run_on_workers([&](std::size_t w) {
-        WorkerScratch& scr = scratch[w];
         for (;;) {
           const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= items.size()) break;
-          FrameJob& job = *jobs[items[i]];
-
-          Detector& detector = worker_detector(w, *job.det_spec, job.qam);
-          SoftDetector* soft = nullptr;
-          if (job.soft) {
-            soft = detector.soft();
-            if (soft == nullptr)
-              throw std::invalid_argument("serve::Server: detector \"" +
-                                          detector.name() +
-                                          "\" cannot produce soft decisions");
-          }
-
-          DetectionStats& ws = worker_stats[w][job.cell];
-          detector.prepare_batch(job.link.subcarriers, job.n0);
-          ++ws.prepare_batch_calls;
-
-          for (std::size_t sc = 0; sc < job.nsc; ++sc) {
-            detector.select_prepared(sc);
-            ++ws.preprocess_calls;
-
-            // Assemble the subcarrier's received vectors exactly as the
-            // link layer does (same multiply, same pre-drawn noise slice).
-            scr.x.resize(job.streams);
-            scr.y.resize(job.antennas);
-            scr.y_batch.assign_shape(job.antennas, job.ofdm_symbols);
-            for (std::size_t sym = 0; sym < job.ofdm_symbols; ++sym) {
-              for (std::size_t k = 0; k < job.streams; ++k)
-                scr.x[k] = detector.constellation().point(
-                    job.tx[k].symbol_at(sym, sc, job.nsc));
-              multiply_into(job.link.subcarriers[sc], scr.x, scr.y);
-              if (job.n0 > 0.0) {
-                const cf64* n = &job.noise[(sym * job.nsc + sc) * job.antennas];
-                for (std::size_t i2 = 0; i2 < job.antennas; ++i2) scr.y[i2] += n[i2];
-              }
-              for (std::size_t i2 = 0; i2 < job.antennas; ++i2)
-                scr.y_batch(i2, sym) = scr.y[i2];
-            }
-
-            if (soft != nullptr) {
-              soft->solve_soft_batch(scr.y_batch, scr.soft_batch);
-              ws += scr.soft_batch.stats;
-              worker_calls[w][job.cell] += scr.soft_batch.count;
-              llrs_to_confidence(scr.soft_batch.llrs, scr.conf);
-              for (std::size_t sym = 0; sym < job.ofdm_symbols; ++sym)
-                for (std::size_t k = 0; k < job.streams; ++k)
-                  for (unsigned b = 0; b < job.q; ++b)
-                    job.rx_conf[k][(sym * job.nsc + sc) * job.q + b] =
-                        scr.conf[(sym * job.streams + k) * job.q + b];
-            } else {
-              detector.solve_batch(scr.y_batch, scr.batch);
-              ws += scr.batch.stats;
-              worker_calls[w][job.cell] += scr.batch.count;
-              for (std::size_t sym = 0; sym < job.ofdm_symbols; ++sym)
-                for (std::size_t k = 0; k < job.streams; ++k)
-                  job.rx[k][sym * job.nsc + sc] =
-                      scr.batch.indices[sym * job.streams + k];
-            }
-          }
+          const std::size_t c = items[i];
+          FrameJob& job = jobs[c];
+          const DetectorSpec& det_spec = schedulers[c].detector();
+          Detector& detector = detectors_.get(w, det_spec, scheds[c].qam);
+          worker_calls[w][c] +=
+              link::detect_frame(job.frame, *job.codec, detector, det_spec.decision(),
+                                 job.decisions, worker_stats[w][c], scratch[w]);
 
           const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                               std::chrono::steady_clock::now() - t_start)
                               .count();
-          worker_latency[w][job.cell].record(static_cast<std::uint64_t>(ns));
+          worker_latency[w][c].record(static_cast<std::uint64_t>(ns));
         }
       });
     }
 
-    // --- Phase 3 (deliver): per-stream decoding, goodput/error counters
-    // and queue feedback, one cell per pool iteration (each iteration
-    // touches only its own cell's state).
+    // --- Phase 3 (deliver): per-stream decoding and the CRC delivery
+    // decision, goodput/error counters and queue feedback, one cell per
+    // pool iteration (each iteration touches only its own cell's state).
     pool_.parallel_for(ncells, [&](std::size_t c) {
-      if (!jobs[c]) return;
-      FrameJob& job = *jobs[c];
+      const CellSchedule& sched = scheds[c];
+      if (sched.users.empty()) return;
+      FrameJob& job = jobs[c];
+      link::decode_frame(job.pipeline, *job.codec, job.frame, job.decisions, job.results);
       CellCounters& cc = result.cells[c].counters;
-      for (std::size_t k = 0; k < job.streams; ++k) {
-        const BitVector decoded =
-            job.soft ? job.codec->decode_soft(job.rx_conf[k], job.ofdm_symbols)
-                     : job.codec->decode(job.rx[k], job.ofdm_symbols);
-        std::uint64_t errors = 0;
-        for (std::size_t b = 0; b < decoded.size(); ++b)
-          if (decoded[b] != job.tx[k].payload[b]) ++errors;
-        cc.bit_errors += errors;
-        cc.payload_bits += decoded.size();
-        const bool delivered = errors == 0;
-        if (delivered) {
+      for (std::size_t k = 0; k < job.results.size(); ++k) {
+        const link::StreamDecodeResult& r = job.results[k];
+        cc.bit_errors += r.bit_errors;
+        cc.payload_bits += r.payload_bits;
+        if (r.crc_ok) {
           ++cc.user_frames_ok;
-          cc.delivered_bits += decoded.size();
+          cc.delivered_bits += r.payload_bits;
         } else {
           ++cc.user_frames_error;
         }
-        schedulers[c].complete(job.users[k], delivered);
+        schedulers[c].complete(sched.users[k], r.crc_ok);
       }
     });
   }

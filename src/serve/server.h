@@ -1,28 +1,29 @@
 // The streaming serving engine: a long-lived multi-cell pipeline on top of
 // the batched detection hot path.
 //
-// Each TTI runs three phases over the cells of a ServeSpec:
+// Each TTI runs three phases over the cells of a ServeSpec, each built on
+// the shared frame path of link/frame_path.h (the one LinkSimulator runs):
 //
 //   schedule  -- per cell: traffic arrivals, user selection and rate
-//                choice (serve::CellScheduler), then frame assembly (link
+//                choice (serve::CellScheduler), then draw_frame (link
 //                draw, per-user encoding, pre-drawn noise), parallelized
 //                across cells.
-//   detect    -- the TTI's frames decompose into (cell, subcarrier, batch)
-//                work items fed through one sim::ThreadPool dispatch: each
-//                item prepares the subcarrier's channel once and batch-
-//                solves all of the frame's OFDM symbols on it (the
-//                prepare/solve_batch contract), using per-worker cached
-//                detector instances.
-//   deliver   -- per cell: per-user Viterbi decoding, goodput/error
-//                accounting, queue feedback (delivered frames leave the
-//                queue, failed ones stay for retransmission).
+//   detect    -- every scheduled frame is one work item fed through one
+//                sim::ThreadPool dispatch: detect_frame runs ONE
+//                prepare_batch over the frame's subcarrier channels, then
+//                batch-solves all of the frame's OFDM symbols on each
+//                subcarrier, on a per-worker cached detector instance.
+//   deliver   -- per cell: decode_frame (per-user Viterbi decoding and the
+//                CRC check), goodput/error accounting and queue feedback:
+//                a frame whose CRC checks is delivered and leaves the
+//                queue, a failed one stays for retransmission.
 //
 // Determinism: every counter a serve run reports (goodput, errors, the
 // scheduled-user log) is bit-identical for any thread count, because all
 // randomness derives from Rng::derive_seed(seed, cell, tti, frame) and
 // counter merges are associative integer sums. The per-frame detection
 // LATENCY distribution (time from a TTI's detect dispatch to the frame's
-// last work item completing) is the one host-dependent output and is
+// work item completing) is the one host-dependent output and is
 // reported separately through serve::LatencyRecorder.
 #pragma once
 
@@ -34,6 +35,7 @@
 #include "serve/latency.h"
 #include "serve/scheduler.h"
 #include "serve/spec.h"
+#include "sim/detector_cache.h"
 #include "sim/thread_pool.h"
 
 namespace geosphere::serve {
@@ -99,15 +101,11 @@ class Server {
   const ServeSpec& spec() const { return spec_; }
 
  private:
-  Detector& worker_detector(std::size_t worker, const DetectorSpec& spec,
-                            unsigned qam_order);
-
   ServeSpec spec_;
   sim::ThreadPool pool_;
-  /// Per-worker detector cache keyed on (spec text, QAM) -- same design as
-  /// sim::Engine's: instances are stateful and per-thread, cached across
-  /// TTIs and runs so the steady-state pipeline allocates nothing per TTI.
-  std::vector<std::unordered_map<std::string, std::unique_ptr<Detector>>> detector_cache_;
+  /// Cached across TTIs and runs, so the steady-state detect phase
+  /// creates no detectors.
+  sim::DetectorCache detectors_;
 };
 
 }  // namespace geosphere::serve

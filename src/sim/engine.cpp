@@ -8,14 +8,6 @@
 
 namespace geosphere::sim {
 
-Detector& Engine::worker_detector(std::size_t worker, const DetectorSpec& spec,
-                                  unsigned qam_order) {
-  const std::string key = spec.text() + "@" + std::to_string(qam_order);
-  auto& slot = detector_cache_[worker][key];
-  if (!slot) slot = spec.create(Constellation::qam(qam_order));
-  return *slot;
-}
-
 const channel::ChannelModel& Engine::channel(const channel::ChannelSpec& spec,
                                              std::size_t clients, std::size_t antennas) {
   // Fixed-dims specs (traces) ignore the requested dimensions, so they
@@ -36,7 +28,7 @@ link::LinkStats Engine::run_link(const link::LinkSimulator& sim, const DetectorS
   std::vector<link::LinkStats> partial(pool_.size());
   std::atomic<std::size_t> next{0};
   pool_.run_on_workers([&](std::size_t worker) {
-    Detector& detector = worker_detector(worker, spec, qam);
+    Detector& detector = detectors_.get(worker, spec, qam);
     link::LinkStats& local = partial[worker];
     for (std::size_t f; (f = next.fetch_add(1, std::memory_order_relaxed)) < frames;) {
       Rng rng = Rng::for_frame(seed, f);
@@ -89,7 +81,7 @@ link::RateChoice Engine::best_rate(const channel::ChannelModel& channel,
     for (std::size_t g; (g = next.fetch_add(1, std::memory_order_relaxed)) < total;) {
       const std::size_t qi = g / frames;
       const std::size_t f = g % frames;
-      Detector& detector = worker_detector(worker, spec, candidate_qams[qi]);
+      Detector& detector = detectors_.get(worker, spec, candidate_qams[qi]);
       Rng rng = Rng::for_frame(seed, f);
       sims[qi].simulate_frame(detector, spec.decision(), rng, partial[worker][qi]);
     }
@@ -226,7 +218,7 @@ std::vector<SweepCell> Engine::run_sweep_impl(const channel::ChannelModel& chann
       const std::size_t di = rest % nd;
       const std::size_t si = rest / nd;
 
-      Detector& detector = worker_detector(worker, specs[di], spec.candidate_qams[qi]);
+      Detector& detector = detectors_.get(worker, specs[di], spec.candidate_qams[qi]);
       Rng rng = Rng::for_frame(point_seeds[si], f);
       sims[(si * nc + ci) * nq + qi].simulate_frame(
           detector, specs[di].decision(), rng,

@@ -23,6 +23,7 @@
 #include "link/link_simulator.h"
 #include "link/rate_adapt.h"
 #include "link/snr_search.h"
+#include "sim/detector_cache.h"
 #include "sim/thread_pool.h"
 
 namespace geosphere::sim {
@@ -87,7 +88,7 @@ class Engine {
  public:
   /// `threads` == 0 selects the hardware concurrency.
   explicit Engine(std::size_t threads = 0)
-      : pool_(threads), detector_cache_(pool_.size()) {}
+      : pool_(threads), detectors_(pool_.size()) {}
 
   std::size_t threads() const { return pool_.size(); }
 
@@ -168,23 +169,14 @@ class Engine {
   }
 
  private:
-  /// The per-worker detector cache, keyed on (spec text, QAM order). Each
-  /// worker only ever touches its own map, so no locking is needed; the
-  /// cache persists across engine calls (Engine methods are not
-  /// reentrant, like the pool they run on). Cached instances keep their
-  /// workspaces -- including the prepared-channel state of the two-phase
-  /// detect contract -- across frames and cells; that is safe because
-  /// Detector::prepare() fully overwrites the stored channel, so reuse
-  /// stays transparent.
-  Detector& worker_detector(std::size_t worker, const DetectorSpec& spec,
-                            unsigned qam_order);
-
   std::vector<SweepCell> run_sweep_impl(const channel::ChannelModel& channel,
                                         const SweepSpec& spec,
                                         const std::string& channel_label);
 
   ThreadPool pool_;
-  std::vector<std::unordered_map<std::string, std::unique_ptr<Detector>>> detector_cache_;
+  /// Persists across engine calls (Engine methods are not reentrant, like
+  /// the pool they run on).
+  DetectorCache detectors_;
   /// Spec-resolved channels, keyed on (canonical spec text, dimensions).
   /// Shared across workers (channels are immutable); populated only from
   /// the calling thread, so no locking -- like the pool, Engine methods

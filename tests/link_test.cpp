@@ -101,7 +101,7 @@ TEST(LinkSimulator, DetectorConstellationMismatchThrows) {
 
 TEST(LinkSimulator, SoftModeNeedsSoftCapableDetector) {
   // The unified mode-dispatched path must reject DecisionMode::kSoft for a
-  // detector with no soft() interface, loudly and before any simulation.
+  // detector with no soft() interface, loudly and before any detection.
   channel::RayleighChannel ch(2, 2);
   const auto hard = DetectorSpec::parse("zf").create(Constellation::qam(16));
   LinkSimulator sim(ch, small_scenario(16, 20.0));

@@ -9,9 +9,11 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "phy/frame.h"
 #include "serve/latency.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
@@ -282,6 +284,87 @@ TEST(Server, CountsAndLatencyBookkeepingAreConsistent) {
   EXPECT_GT(cc.goodput_mbps(), 0.0);
   EXPECT_GE(cc.fer(), 0.0);
   EXPECT_LE(cc.fer(), 1.0);
+
+  // Detection accounting, as on the link path: one prepare_batch per
+  // frame, one select (preprocess_call) per subcarrier, one detection per
+  // received vector.
+  phy::FrameConfig cfg;
+  cfg.qam_order = 16;
+  cfg.payload_bytes = 40;
+  const phy::FrameCodec codec(cfg);
+  const std::uint64_t nsc = cfg.data_subcarriers;
+  const std::uint64_t syms = codec.ofdm_symbols_per_frame();
+  EXPECT_EQ(cc.detection.prepare_batch_calls, cc.scheduled_frames);
+  EXPECT_EQ(cc.detection.preprocess_calls, cc.scheduled_frames * nsc);
+  EXPECT_EQ(cc.detection_calls, cc.scheduled_frames * nsc * syms);
+  // A frame the CRC rejects has at least one bit error, so an error-free
+  // run delivers every frame.
+  EXPECT_LE(cc.user_frames_error, cc.bit_errors);
+  if (cc.bit_errors == 0) {
+    EXPECT_EQ(cc.user_frames_error, 0u);
+    EXPECT_EQ(cc.delivered_bits, cc.payload_bits);
+  }
+}
+
+TEST(Server, DeterministicCountersMatchRecordedValues) {
+  // Every CellCounters field of a 3-cell run, pinned: a rate-probing
+  // multi-QAM geosphere cell, a linear mmse cell and a soft single-tree-
+  // search cell, all at SNRs where some frames fail. Any change to the
+  // draw order, the detection path or the delivery rule shows up here.
+  const ServeSpec spec = ServeSpec::parse(
+      "users=6,antennas=3,load=0.7,payload=40,qams=4|16|64,snr=16;"
+      "users=5,antennas=2,load=0.6,payload=30,detector=mmse,qams=16,snr=13;"
+      "users=4,antennas=2,load=0.8,payload=30,detector=soft-geosphere-sts,qams=16,snr=11");
+  struct Expected {
+    std::uint64_t ttis, arrivals, scheduled_frames, scheduled_users, user_frames_ok,
+        user_frames_error, bit_errors, payload_bits, delivered_bits, backlog_end;
+    std::uint64_t schedule_hash, detection_calls;
+    DetectionStats detection;
+  };
+  const Expected expected[] = {
+      {8, 36, 8, 16, 14, 2, 63, 5120, 4480, 22,
+       0x877c9e7d0e06d925ull, 1152,
+       {4628, 3021, 5742, 3935, 2821, 6450, 384, 8, 384, 1152, 0}},
+      {8, 24, 8, 13, 10, 3, 194, 3120, 2400, 14,
+       0xd5ececc81a98eae5ull, 1152,
+       {0, 0, 0, 0, 1872, 0, 384, 8, 384, 0, 0}},
+      {8, 26, 8, 9, 7, 2, 59, 2160, 1680, 19,
+       0xbe601d770dfe2fc6ull, 1152,
+       {15656, 10391, 15220, 2116, 2552, 22097, 384, 8, 384, 1152, 4838}},
+  };
+  for (const std::size_t threads : {1u, 3u}) {
+    Server server(spec, threads);
+    const ServeResult r = server.run(/*ttis=*/8, /*seed=*/23);
+    ASSERT_EQ(r.cells.size(), 3u);
+    for (std::size_t c = 0; c < 3; ++c) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " cell " + std::to_string(c));
+      const CellCounters& x = r.cells[c].counters;
+      const Expected& e = expected[c];
+      EXPECT_EQ(x.ttis, e.ttis);
+      EXPECT_EQ(x.arrivals, e.arrivals);
+      EXPECT_EQ(x.scheduled_frames, e.scheduled_frames);
+      EXPECT_EQ(x.scheduled_users, e.scheduled_users);
+      EXPECT_EQ(x.user_frames_ok, e.user_frames_ok);
+      EXPECT_EQ(x.user_frames_error, e.user_frames_error);
+      EXPECT_EQ(x.bit_errors, e.bit_errors);
+      EXPECT_EQ(x.payload_bits, e.payload_bits);
+      EXPECT_EQ(x.delivered_bits, e.delivered_bits);
+      EXPECT_EQ(x.backlog_end, e.backlog_end);
+      EXPECT_EQ(x.schedule_hash, e.schedule_hash);
+      EXPECT_EQ(x.detection_calls, e.detection_calls);
+      EXPECT_EQ(x.detection.ped_computations, e.detection.ped_computations);
+      EXPECT_EQ(x.detection.visited_nodes, e.detection.visited_nodes);
+      EXPECT_EQ(x.detection.lb_lookups, e.detection.lb_lookups);
+      EXPECT_EQ(x.detection.lb_prunes, e.detection.lb_prunes);
+      EXPECT_EQ(x.detection.slicer_ops, e.detection.slicer_ops);
+      EXPECT_EQ(x.detection.queue_ops, e.detection.queue_ops);
+      EXPECT_EQ(x.detection.preprocess_calls, e.detection.preprocess_calls);
+      EXPECT_EQ(x.detection.prepare_batch_calls, e.detection.prepare_batch_calls);
+      EXPECT_EQ(x.detection.batch_calls, e.detection.batch_calls);
+      EXPECT_EQ(x.detection.tree_searches, e.detection.tree_searches);
+      EXPECT_EQ(x.detection.counter_updates, e.detection.counter_updates);
+    }
+  }
 }
 
 TEST(Server, SoftDetectorCellRunsAndIsDeterministic) {
