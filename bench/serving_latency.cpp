@@ -1,9 +1,11 @@
 // Engineering benchmark (not a paper figure): end-to-end per-frame
 // detection latency of the streaming serve layer (src/serve) on a fixed
-// two-cell scenario, at 1 thread and at all cores. Each record reports the
-// p50/p90/p99/max of the per-frame detection latency distribution (TTI
-// dispatch -> the frame's last (cell, subcarrier) work item completing)
-// plus the run's total goodput -- the serving-layer counterpart of
+// two-cell scenario, at 1, 2 and 4 threads (and all cores when there are
+// more). Each record reports the p50/p90/p99/max of the per-frame
+// detection latency distribution (TTI dispatch -> the frame's last
+// (cell, subcarrier) work item completing), the run's total goodput and
+// its wall-clock time (scheduling and rate probes included, which the
+// latency histogram leaves out) -- the serving-layer counterpart of
 // detector_latency's per-call numbers.
 //
 // The deterministic counters (goodput, errors, schedule hashes) are
@@ -13,6 +15,7 @@
 // machine-readable BENCH_serving_latency.json (--json=PATH to relocate)
 // with the same style of "host" block as BENCH_detector_latency.json;
 // CI runs it with a small --ttis and validates the schema.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -63,6 +66,7 @@ bool native_build() {
 
 struct RunRecord {
   std::size_t threads = 0;
+  double wall_s = 0.0;  ///< Server::run, start to finish.
   serve::ServeResult result;
 };
 
@@ -95,11 +99,11 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
     std::fprintf(f,
                  "    {\"threads\": %zu, \"frames\": %llu, "
                  "\"p50_ns\": %.1f, \"p90_ns\": %.1f, \"p99_ns\": %.1f, "
-                 "\"max_ns\": %llu, \"goodput_mbps\": %.6f}%s\n",
+                 "\"max_ns\": %llu, \"goodput_mbps\": %.6f, \"wall_s\": %.3f}%s\n",
                  runs[i].threads, static_cast<unsigned long long>(lat.count()),
                  lat.percentile_ns(0.5), lat.percentile_ns(0.9), lat.percentile_ns(0.99),
                  static_cast<unsigned long long>(lat.max_ns()), total_goodput_mbps(r),
-                 i + 1 < runs.size() ? "," : "");
+                 runs[i].wall_s, i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -133,27 +137,31 @@ int main(int argc, char** argv) {
 
   const serve::ServeSpec spec = serve::ServeSpec::parse(kSpec);
   const std::size_t cores = sim::ThreadPool::hardware_threads();
-  std::vector<std::size_t> thread_counts = {1};
-  if (cores > 1) thread_counts.push_back(cores);
+  std::vector<std::size_t> thread_counts = {1, 2, 4};
+  if (cores > 4) thread_counts.push_back(cores);
 
   std::printf("serving latency: %zu cells, %llu TTIs, seed %llu, host cores %zu\n\n",
               spec.cells.size(), static_cast<unsigned long long>(ttis),
               static_cast<unsigned long long>(seed), cores);
-  std::printf("%8s %8s %10s %10s %10s %10s %15s\n", "threads", "frames", "p50 (us)",
-              "p90 (us)", "p99 (us)", "max (us)", "goodput (Mbps)");
+  std::printf("%8s %8s %10s %10s %10s %10s %15s %9s\n", "threads", "frames", "p50 (us)",
+              "p90 (us)", "p99 (us)", "max (us)", "goodput (Mbps)", "wall (s)");
 
   std::vector<RunRecord> runs;
   for (const std::size_t threads : thread_counts) {
     serve::Server server(spec, threads);
     RunRecord rec;
     rec.threads = server.threads();
+    const auto start = std::chrono::steady_clock::now();
     rec.result = server.run(ttis, seed);
+    rec.wall_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     const serve::LatencyRecorder& lat = rec.result.latency;
-    std::printf("%8zu %8llu %10.1f %10.1f %10.1f %10.1f %15.3f\n", rec.threads,
+    std::printf("%8zu %8llu %10.1f %10.1f %10.1f %10.1f %15.3f %9.3f\n", rec.threads,
                 static_cast<unsigned long long>(lat.count()),
                 lat.percentile_ns(0.5) / 1000.0, lat.percentile_ns(0.9) / 1000.0,
                 lat.percentile_ns(0.99) / 1000.0,
-                static_cast<double>(lat.max_ns()) / 1000.0, total_goodput_mbps(rec.result));
+                static_cast<double>(lat.max_ns()) / 1000.0, total_goodput_mbps(rec.result),
+                rec.wall_s);
     runs.push_back(std::move(rec));
   }
 

@@ -10,9 +10,12 @@
 // and traceback layout, and the surviving path is the same as the double
 // decoder's up to branch-cost quantization (the 8192 "almost infinity"
 // start offset is provably exact; the only behavioral difference is the
-// +-1/2-LSB rounding of each branch cost). The quantized decoder is what
-// frame codecs use when FrameConfig::viterbi selects kQuantized; the double
-// decoder remains the reference and the default.
+// +-1/2-LSB rounding of each branch cost, and only soft inputs round).
+// Hard inputs -- 0/1 confidences plus depunctured 0.5 erasures -- quantize
+// to exactly 254x themselves, so on them both decoders return the same
+// bits, ties included. Frame codecs therefore decode every hard stream
+// here; FrameConfig::viterbi picks between this decoder and the double
+// reference (the default) for soft streams only.
 #pragma once
 
 #include <array>

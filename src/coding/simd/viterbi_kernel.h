@@ -9,7 +9,11 @@
 // the same, keeping the erasure neutral like the double decoder's |0.5 - b|).
 // The branch cost of emitting coded bit b against v is |v - 254*b|, i.e.
 // the double decoder's |c - b| scaled by 254; one trellis step adds at most
-// kMaxBranchCost = 508.
+// kMaxBranchCost = 508. Rounding (at most 1/2 LSB per confidence) touches
+// soft inputs only: hard 0/1 confidences and 0.5 erasures land exactly on
+// 0, 254 and 127, every cost is then exactly 254x the double decoder's,
+// and with the exact offset and renormalization below and the shared tie
+// rule the kernel reproduces the double decoder's decisions verbatim.
 //
 // Butterfly structure. With the repo's trellis convention (window =
 // (u<<6)|s, next = window>>1), next-state n = (u<<5)|p has exactly the

@@ -60,7 +60,7 @@ EncodedFrame FrameCodec::encode(const BitVector& payload) const {
   return frame;
 }
 
-void FrameCodec::finish_decode(CodecWorkspace& ws, BitVector& out) const {
+void FrameCodec::finish_decode(CodecWorkspace& ws, bool hard, BitVector& out) const {
   if (!config_.coded) {
     // Uncoded: hard threshold the confidences, descramble, done. (Erasures
     // at exactly 0.5 fall to 0 -- arbitrary but deterministic.)
@@ -75,7 +75,11 @@ void FrameCodec::finish_decode(CodecWorkspace& ws, BitVector& out) const {
   const std::size_t coded_bits =
       coding::ConvolutionalEncoder::coded_length(config_.payload_bits());
   puncturer_.depuncture(ws.stream, coded_bits, ws.depunctured);
-  if (config_.viterbi == ViterbiImpl::kQuantized) {
+  // A hard stream holds only 0/1 confidences plus the depuncturer's 0.5
+  // erasures, which quantize to exactly 254x themselves: the int16 kernel
+  // then reproduces the double decoder's decisions bit for bit, so hard
+  // decodes always take it and config_.viterbi picks the soft decoder only.
+  if (hard || config_.viterbi == ViterbiImpl::kQuantized) {
     quantized_viterbi_.decode_soft(ws.depunctured.data(), ws.depunctured.size(),
                                    ws.quantized, ws.decoded);
   } else {
@@ -109,7 +113,7 @@ void FrameCodec::decode(const std::vector<unsigned>& symbol_indices,
 
   const unsigned q = constellation_->bits_per_symbol();
   // Hard decisions become 0/1 confidences so the coded back half can share
-  // the soft path (the reference decoder treats them identically).
+  // the soft path (on the exact int16 decoder -- see finish_decode).
   ws.stream.resize(ofdm_symbols * per_symbol);
   ws.block.resize(per_symbol);
   for (std::size_t sym = 0; sym < ofdm_symbols; ++sym) {
@@ -122,7 +126,7 @@ void FrameCodec::decode(const std::vector<unsigned>& symbol_indices,
   }
 
   ws.stream.resize(stream_bits());  // Drop the padding region.
-  finish_decode(ws, out);
+  finish_decode(ws, /*hard=*/true, out);
 }
 
 void FrameCodec::decode_soft(const std::vector<double>& bit_confidences,
@@ -138,7 +142,7 @@ void FrameCodec::decode_soft(const std::vector<double>& bit_confidences,
                                    ws.stream.data() + sym * per_symbol);
 
   ws.stream.resize(stream_bits());  // Drop the padding region.
-  finish_decode(ws, out);
+  finish_decode(ws, /*hard=*/false, out);
 }
 
 }  // namespace geosphere::phy

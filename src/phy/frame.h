@@ -9,9 +9,10 @@
 //   * code: rate 1/2, 2/3 or 3/4 (punctured), or "none" -- an uncoded mode
 //     that keeps the scrambler and interleaver but skips the encoder,
 //     puncturer and Viterbi entirely (a raw-BER baseline).
-//   * viterbi: the double-precision reference decoder (default, the
-//     arbiter for the repo's goldens) or the quantized int16 SIMD decoder
-//     (coding/quantized_viterbi.h) the batched coded pipeline uses.
+//   * viterbi: for soft inputs, the double-precision reference decoder
+//     (default, the arbiter for the repo's goldens) or the quantized int16
+//     SIMD decoder (coding/quantized_viterbi.h). Hard inputs always decode
+//     on the int16 decoder, which is exact for them.
 #pragma once
 
 #include <cstddef>
@@ -29,9 +30,12 @@
 
 namespace geosphere::phy {
 
-/// Which Viterbi implementation the receive chain runs. Both decode the
-/// same trellis with the same tie rule; kQuantized trades <= 1/2-LSB
-/// branch-cost rounding for the int16 SIMD kernels.
+/// Which Viterbi implementation the soft receive chain runs. Both decode
+/// the same trellis with the same tie rule; on soft inputs kQuantized
+/// trades <= 1/2-LSB branch-cost rounding for the int16 SIMD kernels. Hard
+/// inputs ({0, 1/2, 1} confidences after depuncturing) quantize without
+/// rounding, so FrameCodec::decode runs the int16 kernels under either
+/// setting and gets the double decoder's bits exactly.
 enum class ViterbiImpl { kDouble, kQuantized };
 
 struct FrameConfig {
@@ -95,13 +99,16 @@ class FrameCodec {
 
   EncodedFrame encode(const BitVector& payload) const;
 
-  /// Hard-decision receive chain: detected symbol indices -> payload bits.
+  /// Hard-decision receive chain: detected symbol indices -> payload bits,
+  /// on the int16 Viterbi whatever config().viterbi says (exact for hard
+  /// inputs, see ViterbiImpl).
   BitVector decode(const std::vector<unsigned>& symbol_indices,
                    std::size_t ofdm_symbols) const;
 
   /// Soft-decision receive chain: per-coded-bit confidences (probability
   /// that the bit is 1, in transmitted/interleaved order, Q consecutive
-  /// values per subcarrier) -> payload bits via the soft Viterbi decoder.
+  /// values per subcarrier) -> payload bits via the Viterbi decoder that
+  /// config().viterbi selects.
   BitVector decode_soft(const std::vector<double>& bit_confidences,
                         std::size_t ofdm_symbols) const;
 
@@ -124,8 +131,9 @@ class FrameCodec {
   /// Transmitted (post-puncturing) bits per frame, before padding.
   std::size_t stream_bits() const;
   /// Shared back half: ws.stream holds the stream_bits() kept confidences;
-  /// decodes + descrambles into `out`.
-  void finish_decode(CodecWorkspace& ws, BitVector& out) const;
+  /// decodes + descrambles into `out`. `hard`: the stream holds only 0/1
+  /// confidences (FrameCodec::decode).
+  void finish_decode(CodecWorkspace& ws, bool hard, BitVector& out) const;
 
   FrameConfig config_;
   const Constellation* constellation_;

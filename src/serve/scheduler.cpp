@@ -23,6 +23,7 @@ CellScheduler::CellScheduler(const CellSpec& spec, std::uint64_t master_seed,
                              std::size_t cell_index)
     : spec_(spec),
       det_spec_(DetectorSpec::parse(spec.detector)),
+      code_(coding::CodeSpec::parse(spec.code)),
       chan_spec_(channel::ChannelSpec::parse(spec.channel)),
       master_seed_(master_seed),
       cell_(cell_index),
@@ -113,14 +114,15 @@ CellSchedule CellScheduler::schedule_tti(std::uint64_t tti) {
   out.snr_db = snr_sum / static_cast<double>(out.users.size());
 
   // Rate choice over the candidate QAM list. A single-candidate list needs
-  // no probe; otherwise a short probe frame per candidate on a fresh
-  // (seed, cell, tti)-derived channel draw emulates ideal rate adaptation
-  // (link::best_rate semantics: candidate order, strictly greater net
-  // throughput wins).
+  // no probe; otherwise a short probe frame per candidate at the cell's
+  // code on a fresh (seed, cell, tti)-derived channel draw emulates ideal
+  // rate adaptation (link::best_rate semantics: candidate order, strictly
+  // greater net throughput wins).
   if (spec_.qams.size() == 1) {
     out.qam = spec_.qams.front();
   } else {
     link::LinkScenario probe;
+    probe.frame.set_code(code_);
     probe.frame.payload_bytes = std::min(spec_.payload_bytes, kProbePayloadBytes);
     probe.snr_db = out.snr_db;
     const std::uint64_t probe_seed = rng.engine()();

@@ -3,7 +3,8 @@
 // backlogged users transmit (SNR-windowed, longest-unserved-first round
 // robin, index tie-break -- fully deterministic), and link::best_rate
 // picks the group's QAM order from the cell's candidate list via a short
-// probe frame per candidate (ideal rate adaptation, emulated cheaply).
+// probe frame per candidate at the cell's code (ideal rate adaptation,
+// emulated cheaply).
 //
 // Every random decision derives from (master seed, cell index, TTI) alone
 // -- never from thread count or execution order -- so two schedulers with
@@ -18,6 +19,7 @@
 
 #include "channel/channel_model.h"
 #include "channel/spec.h"
+#include "coding/spec.h"
 #include "detect/spec.h"
 #include "serve/spec.h"
 
@@ -70,6 +72,7 @@ class CellScheduler {
  private:
   CellSpec spec_;
   DetectorSpec det_spec_;
+  coding::CodeSpec code_;  ///< The cell's code: its frames and its rate probes.
   channel::ChannelSpec chan_spec_;
   std::uint64_t master_seed_;
   std::size_t cell_;

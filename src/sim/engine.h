@@ -41,8 +41,10 @@ struct SweepSpec {
   /// Code-rate axis (CodeSpec::parse forms: "none", "1/2", "2/3", "3/4").
   /// Every (detector, code) pair becomes a sweep cell at every SNR point.
   std::vector<std::string> codes = {"1/2"};
-  /// Which Viterbi implementation the coded cells decode with (the double
-  /// reference by default; kQuantized routes through the SIMD kernels).
+  /// Which Viterbi implementation the coded soft cells decode with (the
+  /// double reference by default; kQuantized routes through the SIMD
+  /// kernels, with +-1/2-LSB branch-cost rounding). Hard cells always
+  /// decode on the int16 kernels, which are exact for hard inputs.
   phy::ViterbiImpl viterbi = phy::ViterbiImpl::kDouble;
   /// The channel the whole sweep runs over (ChannelSpec::parse form, e.g.
   /// "indoor" or "kronecker:0.7") and its dimensions. With these a

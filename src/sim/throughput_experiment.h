@@ -22,8 +22,9 @@ struct ThroughputConfig {
   std::vector<unsigned> candidate_qams = {4, 16, 64};
   /// Code rate (CodeSpec::parse form: "none", "1/2", "2/3", "3/4").
   std::string code = "1/2";
-  /// Viterbi implementation for coded runs (double reference or the
-  /// quantized SIMD kernels).
+  /// Viterbi implementation for coded soft runs (double reference or the
+  /// quantized SIMD kernels); hard runs decode exactly on the int16 kernels
+  /// under either setting.
   phy::ViterbiImpl viterbi = phy::ViterbiImpl::kDouble;
   std::uint64_t seed = 1;
 };

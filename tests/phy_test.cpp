@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
 #include "phy/fft.h"
@@ -210,6 +212,105 @@ TEST(FrameCodec, HigherRatePuncturingShortensFrames) {
   three_quarters.code_rate = coding::CodeRate::kThreeQuarters;
   EXPECT_GT(FrameCodec(half).ofdm_symbols_per_frame(),
             FrameCodec(three_quarters).ofdm_symbols_per_frame());
+}
+
+/// Soft confidences (transmitted order, Q per subcarrier) of a frame's
+/// symbols: exact 0/1 for the hard symbol indices, or noisy ones.
+std::vector<double> symbol_confidences(const FrameCodec& codec,
+                                       const std::vector<unsigned>& symbols,
+                                       double noise_sigma, Rng& rng) {
+  const unsigned q = codec.constellation().bits_per_symbol();
+  std::vector<double> conf(symbols.size() * q);
+  BitVector bits(q);
+  for (std::size_t i = 0; i < symbols.size(); ++i) {
+    codec.constellation().bits_from_index(symbols[i], bits.data());
+    for (unsigned b = 0; b < q; ++b) {
+      const double v = (bits[b] ? 1.0 : 0.0) + noise_sigma * rng.gaussian();
+      conf[i * q + b] = std::min(1.0, std::max(0.0, v));
+    }
+  }
+  return conf;
+}
+
+/// The soft receive chain rebuilt from its parts around a given decoder:
+/// deinterleave, drop padding, depuncture, decode, descramble.
+template <typename Decoder>
+BitVector reference_soft_decode(const FrameConfig& cfg, const std::vector<double>& conf,
+                                std::size_t ofdm_symbols, const Decoder& decoder) {
+  const unsigned q = Constellation::qam(cfg.qam_order).bits_per_symbol();
+  const std::size_t per_symbol = cfg.data_subcarriers * q;
+  const coding::BlockInterleaver interleaver(per_symbol, q);
+  const coding::Puncturer puncturer(cfg.code_rate);
+  std::vector<double> stream(ofdm_symbols * per_symbol);
+  for (std::size_t sym = 0; sym < ofdm_symbols; ++sym)
+    interleaver.deinterleave_soft(conf.data() + sym * per_symbol,
+                                  stream.data() + sym * per_symbol);
+  const std::size_t coded_bits = coding::ConvolutionalEncoder::coded_length(cfg.payload_bits());
+  stream.resize(puncturer.punctured_length(coded_bits));
+  return coding::Scrambler().apply(decoder.decode_soft(puncturer.depuncture(stream, coded_bits)));
+}
+
+TEST(FrameCodec, HardDecodeIsExactOnEitherViterbiSetting) {
+  // Hard decode runs the int16 Viterbi whatever FrameConfig::viterbi says,
+  // because on hard inputs it is exact: a kDouble and a kQuantized codec
+  // return the same bits, and those equal the double decoder's soft decode
+  // of the same decisions as 0/1 confidences -- also on frames the code
+  // cannot correct.
+  Rng rng(31);
+  std::size_t failed_frames = 0;
+  for (const auto rate : {coding::CodeRate::kHalf, coding::CodeRate::kTwoThirds,
+                          coding::CodeRate::kThreeQuarters}) {
+    for (const unsigned qam : {4u, 64u}) {
+      FrameConfig dbl;
+      dbl.qam_order = qam;
+      dbl.code_rate = rate;
+      dbl.payload_bytes = 120;
+      FrameConfig quant = dbl;
+      quant.viterbi = ViterbiImpl::kQuantized;
+      const FrameCodec dbl_codec(dbl), quant_codec(quant);
+      for (const double symbol_error_rate : {0.0, 0.05, 0.2, 0.5}) {
+        const BitVector payload = rng.bits(dbl.payload_bits());
+        EncodedFrame frame = dbl_codec.encode(payload);
+        for (unsigned& s : frame.symbol_indices)
+          if (rng.uniform() < symbol_error_rate) s = static_cast<unsigned>(rng.uniform_int(static_cast<int>(qam)));
+
+        const BitVector hard = dbl_codec.decode(frame.symbol_indices, frame.ofdm_symbols);
+        EXPECT_EQ(quant_codec.decode(frame.symbol_indices, frame.ofdm_symbols), hard);
+        const auto conf = symbol_confidences(dbl_codec, frame.symbol_indices, 0.0, rng);
+        EXPECT_EQ(dbl_codec.decode_soft(conf, frame.ofdm_symbols), hard);
+        if (hard != payload) ++failed_frames;
+      }
+    }
+  }
+  EXPECT_GT(failed_frames, 0u) << "no frame exercised an uncorrectable error pattern";
+}
+
+TEST(FrameCodec, SoftDecodeUsesTheConfiguredViterbi) {
+  // Soft inputs are where the two decoders may differ (+-1/2-LSB branch-
+  // cost rounding), so decode_soft must keep honoring FrameConfig::viterbi:
+  // each codec matches the chain rebuilt around its own decoder, and some
+  // noisy frame tells the two apart.
+  FrameConfig dbl;
+  dbl.qam_order = 16;
+  dbl.payload_bytes = 100;
+  FrameConfig quant = dbl;
+  quant.viterbi = ViterbiImpl::kQuantized;
+  const FrameCodec dbl_codec(dbl), quant_codec(quant);
+  const coding::ViterbiDecoder dbl_viterbi;
+  const coding::QuantizedViterbi quant_viterbi;
+  Rng rng(8);
+  std::size_t differing_frames = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const EncodedFrame frame = dbl_codec.encode(rng.bits(dbl.payload_bits()));
+    const auto conf = symbol_confidences(dbl_codec, frame.symbol_indices, 0.6, rng);
+    const BitVector from_dbl = dbl_codec.decode_soft(conf, frame.ofdm_symbols);
+    const BitVector from_quant = quant_codec.decode_soft(conf, frame.ofdm_symbols);
+    EXPECT_EQ(from_dbl, reference_soft_decode(dbl, conf, frame.ofdm_symbols, dbl_viterbi));
+    EXPECT_EQ(from_quant,
+              reference_soft_decode(quant, conf, frame.ofdm_symbols, quant_viterbi));
+    if (from_dbl != from_quant) ++differing_frames;
+  }
+  EXPECT_GT(differing_frames, 0u) << "noise too low to tell the decoders apart";
 }
 
 TEST(FrameCodec, RejectsBadInputs) {

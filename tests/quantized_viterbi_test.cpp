@@ -1,7 +1,8 @@
 // Tests for the quantized batched Viterbi hot path: cross-tier bit
 // exactness (scalar / SSE2 / AVX2), agreement with the double-precision
-// reference decoder, punctured round trips, termination and erasure edge
-// cases, and the allocation-free workspace API.
+// reference decoder (exact on hard inputs at every code rate, within a
+// BER bound on soft ones), punctured round trips, termination and erasure
+// edge cases, and the allocation-free workspace API.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -117,6 +118,51 @@ TEST(QuantizedViterbi, NoisyBerTracksDoubleDecoder) {
   // And the decoders agree bit-for-bit on the overwhelming majority of bits.
   EXPECT_LT(static_cast<double>(disagreements) / static_cast<double>(total_bits), 5e-3);
 }
+
+class HardInputExactness : public ::testing::TestWithParam<CodeRate> {};
+
+TEST_P(HardInputExactness, QuantizedMatchesDoubleOnEveryTier) {
+  // Why FrameCodec::decode may run the int16 kernels under either
+  // ViterbiImpl: a hard stream, depunctured, holds only {0, 1/2, 1}
+  // confidences, which quantize to exactly 254x themselves. Every branch
+  // cost and path metric is then an exact multiple of the double
+  // decoder's, renormalization shifts all states alike, kInitOffset beats
+  // any true 6-step path, and both break ties toward the even predecessor
+  // -- so the decoded bits agree verbatim. Flip densities up to 45% make
+  // ties frequent; the longest frames cross ~100 renormalizations.
+  KernelOverrideGuard guard;
+  const CodeRate rate = GetParam();
+  ConvolutionalEncoder enc;
+  ViterbiDecoder ref;
+  QuantizedViterbi quant;
+  Puncturer punct(rate);
+  Rng rng(4000 + static_cast<unsigned>(rate));
+
+  const auto supported = simd::supported_viterbi_kernels();
+  ASSERT_FALSE(supported.empty());
+  for (const std::size_t info_bits : {1u, 2u, 7u, 64u, 257u, 1000u, 3000u}) {
+    for (const double flip : {0.0, 0.02, 0.1, 0.25, 0.45}) {
+      const BitVector info = rng.bits(info_bits);
+      const BitVector coded = enc.encode(info);
+      const BitVector sent = punct.puncture(coded);
+      std::vector<double> hard(sent.size());
+      for (std::size_t i = 0; i < sent.size(); ++i)
+        hard[i] = (sent[i] != 0) != (rng.uniform() < flip) ? 1.0 : 0.0;
+      const std::vector<double> conf = punct.depuncture(hard, coded.size());
+
+      const BitVector expected = ref.decode_soft(conf);
+      for (const auto* kernel : supported) {
+        simd::set_viterbi_kernel_override(kernel->name);
+        EXPECT_EQ(quant.decode_soft(conf), expected)
+            << "tier " << kernel->name << ", " << info_bits << " bits, flip " << flip;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Rates, HardInputExactness,
+                         ::testing::Values(CodeRate::kHalf, CodeRate::kTwoThirds,
+                                           CodeRate::kThreeQuarters));
 
 class QuantizedPunctureRoundTrip : public ::testing::TestWithParam<CodeRate> {};
 

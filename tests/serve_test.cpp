@@ -2,8 +2,9 @@
 // histogram's bucket/merge/percentile algebra, the per-cell scheduler's
 // deterministic policies (backlog-only candidates, antenna truncation,
 // longest-unserved round robin with index tie-break, single-candidate
-// rate shortcut), and the Server determinism contract -- every
-// deterministic counter bit-identical for 1 vs 4 worker threads.
+// rate shortcut, rate probes at the cell's code), and the Server
+// determinism contract -- every deterministic counter bit-identical for
+// 1 vs 4 worker threads.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "coding/spec.h"
 #include "common/rng.h"
+#include "detect/spec.h"
+#include "link/rate_adapt.h"
 #include "phy/frame.h"
 #include "serve/latency.h"
 #include "serve/scheduler.h"
@@ -184,6 +188,41 @@ TEST(CellScheduler, SingleCandidateQamListSkipsTheProbe) {
   CellScheduler sched(spec, 5, 0);
   for (std::uint64_t tti = 0; tti < 4; ++tti)
     EXPECT_EQ(sched.schedule_tti(tti).qam, 64u);
+}
+
+TEST(CellScheduler, RateProbeRunsAtTheCellsCode) {
+  // A multi-QAM code=3/4 cell must pick, every TTI, the QAM link::best_rate
+  // picks at rate 3/4 on the scheduler's own probe seed: the (seed, cell,
+  // tti) stream after one arrival draw per user. The cell sits at the
+  // 4/16-QAM crossover so the rate-1/2 choice differs on some TTIs, which
+  // pins that the probe does not fall back to the default code.
+  const CellSpec spec = CellSpec::parse(
+      "users=4,antennas=2,load=1.0,payload=40,code=3/4,qams=4|16,snr=14,spread=3");
+  const std::uint64_t seed = 17;
+  const std::size_t cell = 1;
+  CellScheduler sched(spec, seed, cell);
+  const DetectorSpec det = DetectorSpec::parse(spec.detector);
+  std::size_t differs_from_half = 0;
+  for (std::uint64_t tti = 0; tti < 16; ++tti) {
+    const CellSchedule s = sched.schedule_tti(tti);
+    ASSERT_FALSE(s.users.empty());
+    Rng rng(Rng::derive_seed(seed, cell, tti));
+    for (std::size_t u = 0; u < spec.users; ++u) rng.uniform();
+    const std::uint64_t probe_seed = rng.engine()();
+
+    link::LinkScenario probe;
+    probe.frame.payload_bytes = spec.payload_bytes;  // Under the 100 B probe cap.
+    probe.snr_db = s.snr_db;
+    const link::RateChoice at_half = link::best_rate(
+        sched.channel(s.users.size()), probe, det, 1, probe_seed, spec.qams);
+    probe.frame.set_code(coding::CodeSpec::parse("3/4"));
+    const link::RateChoice at_three_quarters = link::best_rate(
+        sched.channel(s.users.size()), probe, det, 1, probe_seed, spec.qams);
+
+    EXPECT_EQ(s.qam, at_three_quarters.qam_order) << "tti " << tti;
+    if (at_half.qam_order != at_three_quarters.qam_order) ++differs_from_half;
+  }
+  EXPECT_GT(differs_from_half, 0u) << "no TTI separates the codes; move the cell's snr";
 }
 
 TEST(CellScheduler, ScheduleIsSeedDeterministic) {

@@ -163,7 +163,8 @@ channel::ChannelSpec channel_spec(const Args& args, const std::string& fallback)
   return channel::ChannelSpec::parse(args.get("channel", fallback));
 }
 
-/// The --viterbi flag: which decoder implementation coded runs use.
+/// The --viterbi flag: which decoder implementation coded soft runs use
+/// (hard decisions always decode on the int16 kernels, exact for them).
 phy::ViterbiImpl viterbi_impl(const Args& args) {
   const std::string v = args.get("viterbi", "double");
   if (v == "double") return phy::ViterbiImpl::kDouble;
@@ -532,6 +533,8 @@ void usage() {
        "                 [--qams 4,16,64] [--decision auto|hard|soft] [--payload BYTES]\n"
        "                 [--jitter DB] [--channel NAME] [--code R1,R2,...]\n"
        "                 [--viterbi double|quantized]\n"
+       "                 (--viterbi picks the soft-decision decoder; hard decisions\n"
+       "                  always decode on the int16 kernels, exact for them)\n"
        "  serve          --spec CELLS [--ttis N] [--json PATH] [--code RATE]\n"
        "                 (CELLS: ';'-separated cells of key=value pairs;\n"
        "                  keys: " +
