@@ -27,7 +27,11 @@
 //
 // The ACS pass is therefore a flat SoA sweep over p = 0..31: even/odd
 // metric deinterleave, one abs-cost per butterfly, two add-compare-select
-// lanes, survivors written contiguously to scratch[p] and scratch[32+p].
+// lanes, survivors of targets p and 32+p -- the next step's predecessor
+// metrics. The SIMD tiers keep all 64 of them in registers (4 AVX2 / 8
+// SSE2) across the whole sweep and touch memory only for each step's two
+// quantized inputs and its decision word; the scalar reference ping-pongs
+// two 64-entry banks.
 //
 // Overflow-free by construction. State 0 starts at 0 and every other state
 // at kInitOffset = 8192 (a penalty standing in for the double decoder's
@@ -95,10 +99,9 @@ struct ViterbiKernel {
   ///   quantized   2*steps int16 confidences in [0, kQuantOne]
   ///   metric      64 int16 initial state metrics on entry (0 / kInitOffset
   ///               from the caller); the final metrics on exit
-  ///   scratch     64 int16 workspace
   ///   decisions   one packed word per step, ViterbiDecoder's layout
   void (*acs)(const std::int16_t* quantized, std::size_t steps, std::int16_t* metric,
-              std::int16_t* scratch, std::uint64_t* decisions);
+              std::uint64_t* decisions);
 };
 
 }  // namespace geosphere::coding::simd

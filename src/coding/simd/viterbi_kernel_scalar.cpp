@@ -6,6 +6,7 @@
 #include "coding/simd/viterbi_kernel.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 namespace geosphere::coding::simd {
@@ -13,9 +14,10 @@ namespace geosphere::coding::simd {
 namespace {
 
 void acs_scalar(const std::int16_t* quantized, std::size_t steps, std::int16_t* metric,
-                std::int16_t* scratch, std::uint64_t* decisions) {
+                std::uint64_t* decisions) {
+  std::array<std::int16_t, 64> other;
   std::int16_t* cur = metric;
-  std::int16_t* nxt = scratch;
+  std::int16_t* nxt = other.data();
   for (std::size_t t = 0; t < steps; ++t) {
     const int v0 = quantized[2 * t];
     const int v1 = quantized[2 * t + 1];

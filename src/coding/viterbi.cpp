@@ -10,13 +10,6 @@ namespace geosphere::coding {
 
 namespace {
 
-unsigned parity(unsigned x) {
-  x ^= x >> 4;
-  x ^= x >> 2;
-  x ^= x >> 1;
-  return x & 1u;
-}
-
 ViterbiWorkspace& thread_workspace() {
   static thread_local ViterbiWorkspace ws;
   return ws;
@@ -24,28 +17,19 @@ ViterbiWorkspace& thread_workspace() {
 
 }  // namespace
 
-void viterbi_traceback(const std::uint64_t* decisions, std::size_t steps,
-                       BitVector& reversed, BitVector& out) {
-  // Tail-terminated: the encoder ends in state 0.
-  int state = 0;
-  reversed.clear();
-  reversed.reserve(steps);
+void viterbi_traceback(const std::uint64_t* decisions, std::size_t steps, BitVector& out) {
+  // Tail-terminated: the encoder ends in state 0. Each step back,
+  // next = ((u << 6) | prev) >> 1  =>  prev = ((next << 1) | dropped) & 63,
+  // and the input bit u is the MSB of (next << 1 | dropped).
+  const std::size_t info = steps - static_cast<std::size_t>(ConvolutionalEncoder::kTailBits);
+  out.resize(info);
+  unsigned state = 0;
   for (std::size_t t = steps; t-- > 0;) {
-    const std::uint64_t dropped = (decisions[t] >> state) & 1u;
-    // next = ((u << 6) | prev) >> 1  =>  prev = ((next << 1) | dropped) & 63,
-    // and the input bit u is the MSB of (next << 1 | dropped).
     const unsigned widened =
-        (static_cast<unsigned>(state) << 1) | static_cast<unsigned>(dropped);
-    const unsigned input = (widened >> 6) & 1u;
-    reversed.push_back(static_cast<std::uint8_t>(input));
-    state = static_cast<int>(widened & 0x3Fu);
+        (state << 1) | static_cast<unsigned>((decisions[t] >> state) & 1u);
+    if (t < info) out[t] = static_cast<std::uint8_t>((widened >> 6) & 1u);
+    state = widened & 0x3Fu;
   }
-
-  // Drop the 6 tail bits, reverse into natural order.
-  out.clear();
-  out.reserve(steps - static_cast<std::size_t>(ConvolutionalEncoder::kTailBits));
-  for (std::size_t i = steps; i-- > static_cast<std::size_t>(ConvolutionalEncoder::kTailBits);)
-    out.push_back(reversed[i]);
 }
 
 ViterbiDecoder::ViterbiDecoder() {
@@ -53,10 +37,10 @@ ViterbiDecoder::ViterbiDecoder() {
   for (int s = 0; s < ConvolutionalEncoder::kStates; ++s) {
     for (unsigned u = 0; u < 2; ++u) {
       const unsigned window = (u << 6) | static_cast<unsigned>(s);
+      const unsigned pair = ConvolutionalEncoder::output_pair(window);
       transitions_[static_cast<std::size_t>(s)][u] = {
-          static_cast<int>((window >> 1) & 0x3Fu),
-          static_cast<std::uint8_t>(parity(window & ConvolutionalEncoder::kG0)),
-          static_cast<std::uint8_t>(parity(window & ConvolutionalEncoder::kG1))};
+          static_cast<int>((window >> 1) & 0x3Fu), static_cast<std::uint8_t>(pair & 1u),
+          static_cast<std::uint8_t>(pair >> 1)};
     }
   }
 }
@@ -131,7 +115,7 @@ void ViterbiDecoder::decode_soft(const double* confidence, std::size_t size,
     ws.metric.swap(ws.next_metric);
   }
 
-  viterbi_traceback(ws.decisions.data(), steps, ws.reversed, out);
+  viterbi_traceback(ws.decisions.data(), steps, out);
 }
 
 }  // namespace geosphere::coding

@@ -28,17 +28,15 @@ struct ViterbiWorkspace {
   std::vector<double> next_metric;
   std::vector<double> confidence;       // hard-decision staging buffer
   std::vector<std::uint64_t> decisions;
-  BitVector reversed;                   // traceback staging buffer
 };
 
 /// Walks the packed decision words back from the terminated state 0 and
-/// appends the `steps - kTailBits` information bits in natural order to
-/// `out` (which is cleared first). `reversed` is caller-provided scratch.
-/// Bit `n` of decisions[t] is the dropped low bit (s & 1) of the winning
-/// predecessor s of state n at step t -- the layout both the double and
-/// the quantized ACS produce.
-void viterbi_traceback(const std::uint64_t* decisions, std::size_t steps,
-                       BitVector& reversed, BitVector& out);
+/// writes the `steps - kTailBits` information bits into `out` (resized),
+/// each at its own index -- natural order, no staging buffer. Bit `n` of
+/// decisions[t] is the dropped low bit (s & 1) of the winning predecessor
+/// s of state n at step t -- the layout both the double and the quantized
+/// ACS produce.
+void viterbi_traceback(const std::uint64_t* decisions, std::size_t steps, BitVector& out);
 
 class ViterbiDecoder {
  public:

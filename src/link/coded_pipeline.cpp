@@ -14,10 +14,12 @@ StreamDecodeResult CodedPipeline::score(const BitVector& decoded,
   r.payload_bits = decoded.size();
   for (std::size_t b = 0; b < decoded.size(); ++b)
     r.bit_errors += (decoded[b] != payload[b]) ? 1u : 0u;
-  // Exact-compare shortcut is wrong here: the CRC check must behave like a
-  // real FCS, so a (vanishingly unlikely) colliding error pattern counts
-  // as delivered, exactly as it would over the air.
-  r.crc_ok = coding::crc32_bits(decoded) == coding::crc32_bits(payload);
+  // The CRC check must behave like a real FCS, so a (vanishingly unlikely)
+  // colliding error pattern counts as delivered, exactly as it would over
+  // the air. Identical bits give identical CRCs, so an error-free stream
+  // needs neither CRC -- that skip is exact, not a genie compare.
+  r.crc_ok = r.bit_errors == 0 ||
+             coding::crc32_bits(decoded) == coding::crc32_bits(payload);
   return r;
 }
 

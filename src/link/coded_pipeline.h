@@ -1,16 +1,19 @@
 // The receive-side coded pipeline, batched per frame across streams:
-//   demap -> deinterleave-soft -> depuncture -> (batched) Viterbi -> CRC.
+//   gather through the codec's inverse table (deinterleave + depuncture in
+//   one pass, see phy/frame.h) -> Viterbi -> descramble -> CRC.
 // One CodedPipeline owns the codec workspace all streams of a frame share,
 // so after the first frame the whole receive chain allocates nothing, and
-// the Viterbi kernel (double or quantized SIMD, per FrameConfig::viterbi)
-// runs back-to-back over the streams -- the hot loop the coded-throughput
-// bench measures.
+// the Viterbi kernel (the int16 SIMD tier for hard streams; double or
+// int16 for soft ones, per FrameConfig::viterbi) runs back-to-back over
+// the streams.
 //
 // Each stream is scored against its transmitted payload: exact bit errors,
 // and a CRC32 delivery check that emulates an in-band frame check sequence
 // without spending airtime on it (decoded CRC vs payload CRC -- identical
-// to appending the FCS up to 2^-32 collisions). Goodput counts only the
-// payload bits of CRC-clean frames.
+// to appending the FCS up to 2^-32 collisions). A stream with no bit
+// errors skips both CRCs: equal bits have equal CRCs, so the skip is
+// exact, and a colliding error pattern still counts as delivered.
+// Goodput counts only the payload bits of CRC-clean frames.
 #pragma once
 
 #include <cstddef>

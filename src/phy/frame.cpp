@@ -1,6 +1,13 @@
 #include "phy/frame.h"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
+#include <string>
+
+#include "coding/convolutional.h"
+#include "coding/interleaver.h"
+#include "coding/scrambler.h"
 
 namespace geosphere::phy {
 
@@ -14,80 +21,113 @@ CodecWorkspace& thread_workspace() {
 }  // namespace
 
 FrameCodec::FrameCodec(const FrameConfig& config)
-    : config_(config),
-      constellation_(&Constellation::qam(config.qam_order)),
-      puncturer_(config.code_rate),
-      interleaver_(config.data_subcarriers * Constellation::qam(config.qam_order).bits_per_symbol(),
-                   Constellation::qam(config.qam_order).bits_per_symbol()) {}
-
-std::size_t FrameCodec::stream_bits() const {
-  if (!config_.coded) return config_.payload_bits();
-  return puncturer_.punctured_length(
-      coding::ConvolutionalEncoder::coded_length(config_.payload_bits()));
-}
-
-std::size_t FrameCodec::ofdm_symbols_per_frame() const {
+    : config_(config), constellation_(&Constellation::qam(config.qam_order)) {
+  const unsigned q = constellation_->bits_per_symbol();
   const std::size_t per_symbol = config_.coded_bits_per_ofdm_symbol(*constellation_);
-  return (stream_bits() + per_symbol - 1) / per_symbol;
+  const std::size_t payload_bits = config_.payload_bits();
+  const std::size_t source_bits =
+      config_.coded ? coding::ConvolutionalEncoder::coded_length(payload_bits) : payload_bits;
+
+  scramble_ = coding::Scrambler().apply(BitVector(payload_bits, 0));
+
+  // Source bit of every transmitted stream bit. The puncturer names the
+  // kept bits: depuncturing the stream positions 0, 1, 2, ... puts each
+  // one on the mother-code bit it carries (stolen bits read 0.5).
+  std::vector<std::uint32_t> stream_source;
+  if (config_.coded) {
+    const coding::Puncturer puncturer(config_.code_rate);
+    std::vector<double> positions(puncturer.punctured_length(source_bits));
+    std::iota(positions.begin(), positions.end(), 0.0);
+    const std::vector<double> placed = puncturer.depuncture(positions, source_bits);
+    stream_source.resize(positions.size());
+    for (std::size_t j = 0; j < source_bits; ++j) {
+      if (placed[j] != 0.5)
+        stream_source[static_cast<std::size_t>(placed[j])] = static_cast<std::uint32_t>(j);
+    }
+  } else {
+    stream_source.resize(source_bits);
+    std::iota(stream_source.begin(), stream_source.end(), 0u);
+  }
+  stream_bits_ = stream_source.size();
+  ofdm_symbols_ = (stream_bits_ + per_symbol - 1) / per_symbol;
+
+  // Stream bit k of OFDM symbol sym goes to slot sym * per_symbol +
+  // forward()[k]; the zero-padded tail of the last symbol carries no
+  // source bit.
+  const coding::BlockInterleaver interleaver(per_symbol, q);
+  const std::size_t slots = ofdm_symbols_ * per_symbol;
+  grid_.assign(slots, static_cast<std::uint32_t>(source_bits));
+  source_slot_.assign(source_bits, static_cast<std::uint32_t>(slots));
+  for (std::size_t r = 0; r < stream_bits_; ++r) {
+    const std::size_t slot = r - r % per_symbol + interleaver.forward()[r % per_symbol];
+    grid_[slot] = stream_source[r];
+    source_slot_[stream_source[r]] = static_cast<std::uint32_t>(slot);
+  }
+
+  const unsigned order = constellation_->order();
+  BitVector bits(q);
+  index_of_bits_.resize(order);
+  bit_levels_.resize(static_cast<std::size_t>(order) * q);
+  for (unsigned v = 0; v < order; ++v) {
+    for (unsigned b = 0; b < q; ++b) bits[b] = static_cast<std::uint8_t>((v >> (q - 1 - b)) & 1u);
+    index_of_bits_[v] = constellation_->index_from_bits(bits.data());
+    constellation_->bits_from_index(v, bits.data());
+    for (unsigned b = 0; b < q; ++b)
+      bit_levels_[static_cast<std::size_t>(v) * q + b] =
+          static_cast<std::int16_t>(bits[b] ? coding::simd::kQuantOne : 0);
+  }
 }
 
 EncodedFrame FrameCodec::encode(const BitVector& payload) const {
-  if (payload.size() != config_.payload_bits())
+  const std::size_t payload_bits = config_.payload_bits();
+  if (payload.size() != payload_bits)
     throw std::invalid_argument("FrameCodec::encode: payload size mismatch");
 
-  const BitVector scrambled = scrambler_.apply(payload);
-  BitVector stream =
-      config_.coded ? puncturer_.puncture(encoder_.encode(scrambled)) : scrambled;
+  // Scramble and convolve in one pass; the cell past the source bits is
+  // the zero every padding slot reads.
+  const std::size_t source_bits = source_slot_.size();
+  BitVector source(source_bits + 1, 0);
+  if (config_.coded) {
+    unsigned state = 0;  // Bits 5..0 hold x[n-1]..x[n-6].
+    for (std::size_t i = 0; i < payload_bits + coding::ConvolutionalEncoder::kTailBits; ++i) {
+      const unsigned u = i < payload_bits ? (payload[i] ^ scramble_[i]) & 1u : 0u;
+      const unsigned window = (u << 6) | state;
+      const unsigned pair = coding::ConvolutionalEncoder::output_pair(window);
+      source[2 * i] = static_cast<std::uint8_t>(pair & 1u);
+      source[2 * i + 1] = static_cast<std::uint8_t>(pair >> 1);
+      state = window >> 1;
+    }
+  } else {
+    for (std::size_t i = 0; i < payload_bits; ++i)
+      source[i] = static_cast<std::uint8_t>((payload[i] ^ scramble_[i]) & 1u);
+  }
 
   EncodedFrame frame;
   frame.payload = payload;
-  frame.punctured_bits = stream.size();
-
-  const std::size_t per_symbol = config_.coded_bits_per_ofdm_symbol(*constellation_);
-  frame.ofdm_symbols = (stream.size() + per_symbol - 1) / per_symbol;
-  stream.resize(frame.ofdm_symbols * per_symbol, 0);  // Zero pad bits.
-
+  frame.ofdm_symbols = ofdm_symbols_;
+  frame.punctured_bits = stream_bits_;
   const unsigned q = constellation_->bits_per_symbol();
-  frame.symbol_indices.reserve(frame.ofdm_symbols * config_.data_subcarriers);
-  for (std::size_t sym = 0; sym < frame.ofdm_symbols; ++sym) {
-    const BitVector block(stream.begin() + static_cast<std::ptrdiff_t>(sym * per_symbol),
-                          stream.begin() + static_cast<std::ptrdiff_t>((sym + 1) * per_symbol));
-    const BitVector interleaved = interleaver_.interleave(block);
-    for (std::size_t sc = 0; sc < config_.data_subcarriers; ++sc)
-      frame.symbol_indices.push_back(
-          constellation_->index_from_bits(&interleaved[sc * q]));
+  frame.symbol_indices.resize(ofdm_symbols_ * config_.data_subcarriers);
+  const std::uint32_t* slot = grid_.data();
+  for (unsigned& index : frame.symbol_indices) {
+    unsigned v = 0;
+    for (unsigned b = 0; b < q; ++b) v = (v << 1) | source[*slot++];
+    index = index_of_bits_[v];
   }
   return frame;
 }
 
-void FrameCodec::finish_decode(CodecWorkspace& ws, bool hard, BitVector& out) const {
-  if (!config_.coded) {
-    // Uncoded: hard threshold the confidences, descramble, done. (Erasures
-    // at exactly 0.5 fall to 0 -- arbitrary but deterministic.)
-    ws.decoded.resize(ws.stream.size());
-    for (std::size_t i = 0; i < ws.stream.size(); ++i)
-      ws.decoded[i] = ws.stream[i] > 0.5 ? 1u : 0u;
-    scrambler_.apply_in_place(ws.decoded);
-    out = ws.decoded;
-    return;
-  }
+void FrameCodec::check_frame(std::size_t values, std::size_t values_per_symbol,
+                             std::size_t ofdm_symbols, const char* what) const {
+  if (values != ofdm_symbols * values_per_symbol)
+    throw std::invalid_argument(std::string("FrameCodec::") + what + ": count mismatch");
+  if (ofdm_symbols < ofdm_symbols_)
+    throw std::invalid_argument(std::string("FrameCodec::") + what +
+                                ": fewer OFDM symbols than the frame carries");
+}
 
-  const std::size_t coded_bits =
-      coding::ConvolutionalEncoder::coded_length(config_.payload_bits());
-  puncturer_.depuncture(ws.stream, coded_bits, ws.depunctured);
-  // A hard stream holds only 0/1 confidences plus the depuncturer's 0.5
-  // erasures, which quantize to exactly 254x themselves: the int16 kernel
-  // then reproduces the double decoder's decisions bit for bit, so hard
-  // decodes always take it and config_.viterbi picks the soft decoder only.
-  if (hard || config_.viterbi == ViterbiImpl::kQuantized) {
-    quantized_viterbi_.decode_soft(ws.depunctured.data(), ws.depunctured.size(),
-                                   ws.quantized, ws.decoded);
-  } else {
-    viterbi_.decode_soft(ws.depunctured.data(), ws.depunctured.size(), ws.viterbi,
-                         ws.decoded);
-  }
-  scrambler_.apply_in_place(ws.decoded);
-  out = ws.decoded;
+void FrameCodec::descramble(BitVector& bits) const {
+  for (std::size_t i = 0; i < bits.size(); ++i) bits[i] ^= scramble_[i];
 }
 
 BitVector FrameCodec::decode(const std::vector<unsigned>& symbol_indices,
@@ -107,42 +147,69 @@ BitVector FrameCodec::decode_soft(const std::vector<double>& bit_confidences,
 void FrameCodec::decode(const std::vector<unsigned>& symbol_indices,
                         std::size_t ofdm_symbols, CodecWorkspace& ws,
                         BitVector& out) const {
-  const std::size_t per_symbol = config_.coded_bits_per_ofdm_symbol(*constellation_);
-  if (symbol_indices.size() != ofdm_symbols * config_.data_subcarriers)
-    throw std::invalid_argument("FrameCodec::decode: symbol count mismatch");
+  check_frame(symbol_indices.size(), config_.data_subcarriers, ofdm_symbols, "decode");
 
+  // Every detected bit as a trellis level (0 / 254) per slot, then the
+  // erasure cell (127) that stolen bits read.
   const unsigned q = constellation_->bits_per_symbol();
-  // Hard decisions become 0/1 confidences so the coded back half can share
-  // the soft path (on the exact int16 decoder -- see finish_decode).
-  ws.stream.resize(ofdm_symbols * per_symbol);
-  ws.block.resize(per_symbol);
-  for (std::size_t sym = 0; sym < ofdm_symbols; ++sym) {
-    for (std::size_t sc = 0; sc < config_.data_subcarriers; ++sc)
-      constellation_->bits_from_index(
-          symbol_indices[sym * config_.data_subcarriers + sc], &ws.block[sc * q]);
-    const BitVector deinterleaved = interleaver_.deinterleave(ws.block);
-    for (std::size_t k = 0; k < per_symbol; ++k)
-      ws.stream[sym * per_symbol + k] = deinterleaved[k] ? 1.0 : 0.0;
+  const std::size_t slots = grid_.size();
+  ws.levels.resize(slots + 1);
+  for (std::size_t i = 0; i < slots / q; ++i) {
+    const unsigned index = symbol_indices[i];
+    if (index >= constellation_->order())
+      throw std::invalid_argument("FrameCodec::decode: symbol index out of range");
+    std::copy_n(&bit_levels_[static_cast<std::size_t>(index) * q], q, &ws.levels[i * q]);
   }
+  ws.levels[slots] = coding::simd::kQuantErasure;
 
-  ws.stream.resize(stream_bits());  // Drop the padding region.
-  finish_decode(ws, /*hard=*/true, out);
+  const std::size_t source_bits = source_slot_.size();
+  if (!config_.coded) {
+    out.resize(source_bits);
+    for (std::size_t i = 0; i < source_bits; ++i)
+      out[i] = ws.levels[source_slot_[i]] != 0 ? 1u : 0u;
+  } else {
+    // These levels are exactly what quantizing the 0/1 confidences and
+    // 0.5 erasures gives, so the int16 decoder matches the double one bit
+    // for bit here (ViterbiImpl).
+    ws.trellis.resize(source_bits);
+    for (std::size_t j = 0; j < source_bits; ++j) ws.trellis[j] = ws.levels[source_slot_[j]];
+    quantized_viterbi_.decode_quantized(ws.trellis.data(), source_bits, ws.quantized, out);
+  }
+  descramble(out);
 }
 
 void FrameCodec::decode_soft(const std::vector<double>& bit_confidences,
                              std::size_t ofdm_symbols, CodecWorkspace& ws,
                              BitVector& out) const {
-  const std::size_t per_symbol = config_.coded_bits_per_ofdm_symbol(*constellation_);
-  if (bit_confidences.size() != ofdm_symbols * per_symbol)
-    throw std::invalid_argument("FrameCodec::decode_soft: confidence count mismatch");
+  check_frame(bit_confidences.size(),
+              config_.coded_bits_per_ofdm_symbol(*constellation_), ofdm_symbols,
+              "decode_soft");
 
-  ws.stream.resize(ofdm_symbols * per_symbol);
-  for (std::size_t sym = 0; sym < ofdm_symbols; ++sym)
-    interleaver_.deinterleave_soft(bit_confidences.data() + sym * per_symbol,
-                                   ws.stream.data() + sym * per_symbol);
-
-  ws.stream.resize(stream_bits());  // Drop the padding region.
-  finish_decode(ws, /*hard=*/false, out);
+  const double* conf = bit_confidences.data();
+  const std::uint32_t erasure = static_cast<std::uint32_t>(grid_.size());
+  const std::size_t source_bits = source_slot_.size();
+  if (!config_.coded) {
+    // Uncoded: hard threshold (an erasure-like 0.5 falls to 0).
+    out.resize(source_bits);
+    for (std::size_t i = 0; i < source_bits; ++i)
+      out[i] = conf[source_slot_[i]] > 0.5 ? 1u : 0u;
+  } else if (config_.viterbi == ViterbiImpl::kQuantized) {
+    ws.trellis.resize(source_bits);
+    for (std::size_t j = 0; j < source_bits; ++j) {
+      const std::uint32_t slot = source_slot_[j];
+      ws.trellis[j] = slot == erasure ? static_cast<std::int16_t>(coding::simd::kQuantErasure)
+                                      : coding::QuantizedViterbi::quantize(conf[slot]);
+    }
+    quantized_viterbi_.decode_quantized(ws.trellis.data(), source_bits, ws.quantized, out);
+  } else {
+    ws.depunctured.resize(source_bits);
+    for (std::size_t j = 0; j < source_bits; ++j) {
+      const std::uint32_t slot = source_slot_[j];
+      ws.depunctured[j] = slot == erasure ? 0.5 : conf[slot];
+    }
+    viterbi_.decode_soft(ws.depunctured.data(), source_bits, ws.viterbi, out);
+  }
+  descramble(out);
 }
 
 }  // namespace geosphere::phy

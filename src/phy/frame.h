@@ -5,6 +5,23 @@
 // independent chain (one spatial stream each); the AP detects jointly and
 // decodes each client separately.
 //
+// Table-driven. The constructor runs the reference components once
+// (coding::Scrambler, Puncturer, BlockInterleaver and the Constellation's
+// bit maps) and keeps only what they compute for this configuration:
+//   * the scrambler sequence over the payload;
+//   * the grid table: for every transmitted (OFDM symbol, subcarrier,
+//     bit) slot, the mother-code bit it carries, or padding;
+//   * the inverse table: for every mother-code bit, its slot, or an
+//     erasure where the puncturer stole it;
+//   * the constellation's Q-bit -> index and index -> trellis-level maps.
+// A frame then costs one scramble + convolve pass on the encoder's
+// 128-entry output table and one gather per symbol to encode; and one
+// gather of trellis inputs (0/254 per detected bit, 127 per erasure --
+// exactly what quantizing 0/1/0.5 gives), the ACS sweep and a
+// descrambling XOR to hard-decode. The components run only here, as the
+// tables' source, and in the tests, as the reference chain the tables are
+// held to.
+//
 // The chain is configurable along two axes the sweep layer exposes:
 //   * code: rate 1/2, 2/3 or 3/4 (punctured), or "none" -- an uncoded mode
 //     that keeps the scrambler and interleaver but skips the encoder,
@@ -16,13 +33,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
-#include "coding/convolutional.h"
-#include "coding/interleaver.h"
 #include "coding/puncture.h"
 #include "coding/quantized_viterbi.h"
-#include "coding/scrambler.h"
 #include "coding/spec.h"
 #include "coding/viterbi.h"
 #include "common/types.h"
@@ -78,15 +93,15 @@ struct EncodedFrame {
   }
 };
 
-/// Reusable receive-chain scratch: the deinterleaved confidence stream, the
-/// depuncture buffer and the decoder workspaces. Grown on first use, then
-/// steady-state decodes of same-shape frames allocate nothing. One per
-/// thread; shareable across codecs.
+/// Reusable receive-chain scratch: the detected bits as trellis levels per
+/// slot, the gathered trellis input (int16 levels, or doubles for the
+/// double soft decoder) and the decoder workspaces. Grown on first use,
+/// then steady-state decodes of same-shape frames allocate nothing. One
+/// per thread; shareable across codecs.
 struct CodecWorkspace {
-  std::vector<double> stream;
+  std::vector<std::int16_t> levels;
+  std::vector<std::int16_t> trellis;
   std::vector<double> depunctured;
-  BitVector block;
-  BitVector decoded;
   coding::ViterbiWorkspace viterbi;
   coding::QuantizedViterbiWorkspace quantized;
 };
@@ -101,14 +116,17 @@ class FrameCodec {
 
   /// Hard-decision receive chain: detected symbol indices -> payload bits,
   /// on the int16 Viterbi whatever config().viterbi says (exact for hard
-  /// inputs, see ViterbiImpl).
+  /// inputs, see ViterbiImpl). `ofdm_symbols` may exceed
+  /// ofdm_symbols_per_frame() (the extra symbols are padding); fewer, a
+  /// symbol count other than ofdm_symbols * data_subcarriers, or an index
+  /// outside the constellation throw std::invalid_argument.
   BitVector decode(const std::vector<unsigned>& symbol_indices,
                    std::size_t ofdm_symbols) const;
 
   /// Soft-decision receive chain: per-coded-bit confidences (probability
   /// that the bit is 1, in transmitted/interleaved order, Q consecutive
   /// values per subcarrier) -> payload bits via the Viterbi decoder that
-  /// config().viterbi selects.
+  /// config().viterbi selects. Same symbol-count rules as decode().
   BitVector decode_soft(const std::vector<double>& bit_confidences,
                         std::size_t ofdm_symbols) const;
 
@@ -125,24 +143,35 @@ class FrameCodec {
   const Constellation& constellation() const { return *constellation_; }
 
   /// OFDM symbols needed to carry the configured payload.
-  std::size_t ofdm_symbols_per_frame() const;
+  std::size_t ofdm_symbols_per_frame() const { return ofdm_symbols_; }
 
  private:
-  /// Transmitted (post-puncturing) bits per frame, before padding.
-  std::size_t stream_bits() const;
-  /// Shared back half: ws.stream holds the stream_bits() kept confidences;
-  /// decodes + descrambles into `out`. `hard`: the stream holds only 0/1
-  /// confidences (FrameCodec::decode).
-  void finish_decode(CodecWorkspace& ws, bool hard, BitVector& out) const;
+  /// Shape checks shared by decode and decode_soft.
+  void check_frame(std::size_t values, std::size_t values_per_symbol,
+                   std::size_t ofdm_symbols, const char* what) const;
+  /// XORs the scrambler sequence into the decoded payload bits.
+  void descramble(BitVector& bits) const;
 
   FrameConfig config_;
   const Constellation* constellation_;
-  coding::ConvolutionalEncoder encoder_;
   coding::ViterbiDecoder viterbi_;
   coding::QuantizedViterbi quantized_viterbi_;
-  coding::Puncturer puncturer_;
-  coding::Scrambler scrambler_;
-  coding::BlockInterleaver interleaver_;
+  std::size_t ofdm_symbols_ = 0;
+  std::size_t stream_bits_ = 0;  ///< Transmitted bits per frame, before padding.
+  /// Scrambler sequence, one bit per payload bit.
+  BitVector scramble_;
+  /// Source bit (mother-code bit; payload bit when uncoded) of every
+  /// transmitted slot (sym * per_symbol + sc * Q + b); padding slots hold
+  /// source_slot_.size(), the index of a zero cell past the source bits.
+  std::vector<std::uint32_t> grid_;
+  /// Slot of every source bit; stolen (punctured) bits hold grid_.size(),
+  /// the index of an erasure cell past the slots.
+  std::vector<std::uint32_t> source_slot_;
+  /// Symbol index of every Q-bit pattern (bit 0 of the slot order in the
+  /// pattern's MSB).
+  std::vector<unsigned> index_of_bits_;
+  /// Q trellis levels (0 or kQuantOne) of every symbol index.
+  std::vector<std::int16_t> bit_levels_;
 };
 
 }  // namespace geosphere::phy

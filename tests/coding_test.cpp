@@ -243,5 +243,19 @@ TEST(Crc32, DetectsSingleBitFlip) {
   }
 }
 
+TEST(Crc32, BitsMatchCrcOfPackedBytes) {
+  // crc32_bits packs on the fly; it must equal crc32 over the explicitly
+  // packed buffer (LSB first, partial last byte zero-padded) at every
+  // length, whole bytes or not.
+  Rng rng(11);
+  for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 803u, 4000u}) {
+    const BitVector bits = rng.bits(n);
+    std::vector<std::uint8_t> bytes((n + 7) / 8, 0);
+    for (std::size_t i = 0; i < n; ++i)
+      bytes[i / 8] = static_cast<std::uint8_t>(bytes[i / 8] | (bits[i] << (i % 8)));
+    EXPECT_EQ(crc32_bits(bits), crc32(bytes.data(), bytes.size())) << n << " bits";
+  }
+}
+
 }  // namespace
 }  // namespace geosphere::coding

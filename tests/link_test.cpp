@@ -2,7 +2,11 @@
 
 #include "channel/rayleigh.h"
 #include "channel/testbed_ensemble.h"
+#include "coding/crc32.h"
+#include "coding/spec.h"
+#include "common/rng.h"
 #include "detect/spec.h"
+#include "link/coded_pipeline.h"
 #include "link/link_simulator.h"
 #include "link/rate_adapt.h"
 #include "link/snr_search.h"
@@ -34,6 +38,52 @@ TEST(Throughput, NetThroughputScalesWithFer) {
   EXPECT_NEAR(got, per_client * 1.5, 1e-9);
   EXPECT_THROW(net_throughput_mbps(3, 4, coding::CodeRate::kHalf, fer),
                std::invalid_argument);
+}
+
+TEST(CodedPipeline, CrcCollisionStillCountsAsDelivered) {
+  // Delivery is the CRC decision, like a real FCS: an error pattern that is
+  // a multiple of the CRC-32 generator leaves the CRC unchanged, so the
+  // frame counts as delivered although its bits are wrong. Skipping the
+  // CRCs on error-free streams must not turn this into a payload compare.
+  phy::FrameConfig cfg;
+  cfg.qam_order = 16;
+  cfg.payload_bytes = 60;
+  cfg.set_code(coding::CodeSpec::parse("none"));  // Decodes the sent bits verbatim.
+  const phy::FrameCodec codec(cfg);
+  Rng rng(77);
+  const BitVector payload = rng.bits(cfg.payload_bits());
+
+  // x^32 + x^26 + ... + 1 (0x104C11DB7). The reflected CRC reads bit i of
+  // the stream as the coefficient of x^(N-1-i), so coefficient d sits at
+  // base + 32 - d.
+  constexpr std::uint64_t kGenerator = 0x104C11DB7ull;
+  const std::size_t base = 100;
+  BitVector corrupted = payload;
+  for (unsigned d = 0; d <= 32; ++d)
+    if ((kGenerator >> d) & 1u) corrupted[base + 32 - d] ^= 1u;
+  ASSERT_NE(corrupted, payload);
+  ASSERT_EQ(coding::crc32_bits(corrupted), coding::crc32_bits(payload));
+
+  const std::vector<phy::EncodedFrame> tx{codec.encode(payload)};
+  const std::vector<std::vector<unsigned>> rx{codec.encode(corrupted).symbol_indices};
+  std::vector<StreamDecodeResult> results;
+  CodedPipeline pipeline;
+  pipeline.decode_frame_hard(codec, rx, codec.ofdm_symbols_per_frame(), tx, results);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].bit_errors, 15u);  // The generator's weight.
+  EXPECT_TRUE(results[0].bit_errors > 0 && results[0].crc_ok);
+
+  // And a clean stream and a non-colliding error keep their usual outcome.
+  pipeline.decode_frame_hard(codec, {tx[0].symbol_indices}, codec.ofdm_symbols_per_frame(),
+                             tx, results);
+  EXPECT_EQ(results[0].bit_errors, 0u);
+  EXPECT_TRUE(results[0].crc_ok);
+  corrupted = payload;
+  corrupted[base] ^= 1u;
+  pipeline.decode_frame_hard(codec, {codec.encode(corrupted).symbol_indices},
+                             codec.ofdm_symbols_per_frame(), tx, results);
+  EXPECT_EQ(results[0].bit_errors, 1u);
+  EXPECT_FALSE(results[0].crc_ok);
 }
 
 TEST(LinkSimulator, HighSnrIsErrorFree) {

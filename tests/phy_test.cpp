@@ -2,8 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "coding/convolutional.h"
+#include "coding/interleaver.h"
+#include "coding/scrambler.h"
+#include "coding/simd/dispatch.h"
+#include "coding/spec.h"
 #include "common/rng.h"
 #include "phy/fft.h"
 #include "phy/frame.h"
@@ -233,7 +239,8 @@ std::vector<double> symbol_confidences(const FrameCodec& codec,
 }
 
 /// The soft receive chain rebuilt from its parts around a given decoder:
-/// deinterleave, drop padding, depuncture, decode, descramble.
+/// deinterleave, drop padding, depuncture, decode, descramble (uncoded:
+/// threshold and descramble).
 template <typename Decoder>
 BitVector reference_soft_decode(const FrameConfig& cfg, const std::vector<double>& conf,
                                 std::size_t ofdm_symbols, const Decoder& decoder) {
@@ -245,9 +252,137 @@ BitVector reference_soft_decode(const FrameConfig& cfg, const std::vector<double
   for (std::size_t sym = 0; sym < ofdm_symbols; ++sym)
     interleaver.deinterleave_soft(conf.data() + sym * per_symbol,
                                   stream.data() + sym * per_symbol);
+  if (!cfg.coded) {
+    BitVector bits(cfg.payload_bits());
+    for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = stream[i] > 0.5 ? 1u : 0u;
+    return coding::Scrambler().apply(bits);
+  }
   const std::size_t coded_bits = coding::ConvolutionalEncoder::coded_length(cfg.payload_bits());
   stream.resize(puncturer.punctured_length(coded_bits));
   return coding::Scrambler().apply(decoder.decode_soft(puncturer.depuncture(stream, coded_bits)));
+}
+
+/// The transmit chain rebuilt from its parts: scramble, encode, puncture,
+/// zero-pad to whole OFDM symbols, interleave each symbol, map.
+EncodedFrame reference_encode(const FrameConfig& cfg, const BitVector& payload) {
+  const Constellation& constellation = Constellation::qam(cfg.qam_order);
+  const unsigned q = constellation.bits_per_symbol();
+  const std::size_t per_symbol = cfg.data_subcarriers * q;
+  const BitVector scrambled = coding::Scrambler().apply(payload);
+  BitVector stream = cfg.coded ? coding::Puncturer(cfg.code_rate)
+                                     .puncture(coding::ConvolutionalEncoder().encode(scrambled))
+                               : scrambled;
+  EncodedFrame frame;
+  frame.payload = payload;
+  frame.punctured_bits = stream.size();
+  frame.ofdm_symbols = (stream.size() + per_symbol - 1) / per_symbol;
+  stream.resize(frame.ofdm_symbols * per_symbol, 0);
+  const coding::BlockInterleaver interleaver(per_symbol, q);
+  for (std::size_t sym = 0; sym < frame.ofdm_symbols; ++sym) {
+    const BitVector block(stream.begin() + static_cast<std::ptrdiff_t>(sym * per_symbol),
+                          stream.begin() + static_cast<std::ptrdiff_t>((sym + 1) * per_symbol));
+    const BitVector interleaved = interleaver.interleave(block);
+    for (std::size_t sc = 0; sc < cfg.data_subcarriers; ++sc)
+      frame.symbol_indices.push_back(constellation.index_from_bits(&interleaved[sc * q]));
+  }
+  return frame;
+}
+
+/// Restores default Viterbi kernel selection even if a test fails
+/// mid-override.
+struct ViterbiKernelGuard {
+  ~ViterbiKernelGuard() { coding::simd::set_viterbi_kernel_override(nullptr); }
+};
+
+TEST(FrameCodec, TablesMatchTheReferenceChain) {
+  // The codec's grid/inverse/scrambler/constellation tables must reproduce
+  // the component chain exactly: encode symbol for symbol, and every
+  // decoder (hard on the int16 kernel, soft on either Viterbi) bit for bit
+  // on corrupted symbols and noisy confidences, under every kernel tier.
+  ViterbiKernelGuard guard;
+  const coding::ViterbiDecoder dbl_viterbi;
+  const coding::QuantizedViterbi quant_viterbi;
+  Rng rng(2024);
+  std::size_t padded_frames = 0, failed_hard = 0;
+  for (const unsigned qam : {4u, 16u, 64u, 256u}) {
+    for (const char* code : {"none", "1/2", "2/3", "3/4"}) {
+      for (const std::size_t bytes : {1u, 13u, 100u, 500u}) {
+        FrameConfig dbl;
+        dbl.qam_order = qam;
+        dbl.set_code(coding::CodeSpec::parse(code));
+        dbl.payload_bytes = bytes;
+        FrameConfig quant = dbl;
+        quant.viterbi = ViterbiImpl::kQuantized;
+        const FrameCodec dbl_codec(dbl), quant_codec(quant);
+        const std::string where = std::string("QAM ") + std::to_string(qam) + ", code " +
+                                  code + ", " + std::to_string(bytes) + " B";
+
+        const BitVector payload = rng.bits(dbl.payload_bits());
+        const EncodedFrame frame = dbl_codec.encode(payload);
+        const EncodedFrame expected = reference_encode(dbl, payload);
+        EXPECT_EQ(frame.symbol_indices, expected.symbol_indices) << where;
+        EXPECT_EQ(frame.ofdm_symbols, expected.ofdm_symbols) << where;
+        EXPECT_EQ(frame.punctured_bits, expected.punctured_bits) << where;
+        EXPECT_EQ(frame.payload, payload) << where;
+        EXPECT_EQ(frame.ofdm_symbols, dbl_codec.ofdm_symbols_per_frame()) << where;
+        if (frame.punctured_bits % dbl.coded_bits_per_ofdm_symbol(dbl_codec.constellation()))
+          ++padded_frames;
+
+        std::vector<unsigned> symbols = frame.symbol_indices;
+        for (unsigned& s : symbols)
+          if (rng.uniform() < 0.08) s = static_cast<unsigned>(rng.uniform_int(static_cast<int>(qam)));
+        const std::size_t n = frame.ofdm_symbols;
+        const auto hard_conf = symbol_confidences(dbl_codec, symbols, 0.0, rng);
+        const auto soft_conf = symbol_confidences(dbl_codec, frame.symbol_indices, 0.45, rng);
+        const BitVector hard_ref = reference_soft_decode(dbl, hard_conf, n, dbl_viterbi);
+        const BitVector dbl_ref = reference_soft_decode(dbl, soft_conf, n, dbl_viterbi);
+        const BitVector quant_ref = reference_soft_decode(quant, soft_conf, n, quant_viterbi);
+        if (hard_ref != payload) ++failed_hard;
+        for (const auto* kernel : coding::simd::supported_viterbi_kernels()) {
+          coding::simd::set_viterbi_kernel_override(kernel->name);
+          EXPECT_EQ(dbl_codec.decode(symbols, n), hard_ref) << where << ", " << kernel->name;
+          EXPECT_EQ(quant_codec.decode(symbols, n), hard_ref) << where << ", " << kernel->name;
+          EXPECT_EQ(dbl_codec.decode_soft(soft_conf, n), dbl_ref) << where << ", " << kernel->name;
+          EXPECT_EQ(quant_codec.decode_soft(soft_conf, n), quant_ref)
+              << where << ", " << kernel->name;
+        }
+        coding::simd::set_viterbi_kernel_override(nullptr);
+      }
+    }
+  }
+  EXPECT_GT(padded_frames, 0u) << "no configuration left its last OFDM symbol part-padded";
+  EXPECT_GT(failed_hard, 0u) << "no frame exercised an uncorrectable error pattern";
+}
+
+TEST(FrameCodec, ExtraSymbolsArePaddingFewerSymbolsThrow) {
+  // Symbols past ofdm_symbols_per_frame() carry only padding and are
+  // ignored; a frame shorter than the codec's, or an index outside the
+  // constellation, is rejected instead of decoding garbage.
+  FrameConfig cfg;
+  cfg.qam_order = 16;
+  cfg.payload_bytes = 40;
+  const FrameCodec codec(cfg);
+  Rng rng(12);
+  const BitVector payload = rng.bits(cfg.payload_bits());
+  const EncodedFrame frame = codec.encode(payload);
+  const std::size_t n = frame.ofdm_symbols;
+  const std::size_t nsc = cfg.data_subcarriers;
+  const unsigned q = codec.constellation().bits_per_symbol();
+
+  std::vector<unsigned> longer = frame.symbol_indices;
+  longer.resize(longer.size() + nsc, 5u);
+  EXPECT_EQ(codec.decode(longer, n + 1), payload);
+  std::vector<double> conf = symbol_confidences(codec, longer, 0.0, rng);
+  EXPECT_EQ(codec.decode_soft(conf, n + 1), payload);
+
+  const std::vector<unsigned> shorter(frame.symbol_indices.begin(),
+                                      frame.symbol_indices.end() - static_cast<std::ptrdiff_t>(nsc));
+  EXPECT_THROW(codec.decode(shorter, n - 1), std::invalid_argument);
+  EXPECT_THROW(codec.decode_soft(std::vector<double>((n - 1) * nsc * q, 0.5), n - 1),
+               std::invalid_argument);
+  std::vector<unsigned> bad = frame.symbol_indices;
+  bad[3] = 16;
+  EXPECT_THROW(codec.decode(bad, n), std::invalid_argument);
 }
 
 TEST(FrameCodec, HardDecodeIsExactOnEitherViterbiSetting) {

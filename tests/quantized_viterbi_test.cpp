@@ -5,7 +5,10 @@
 // edge cases, and the allocation-free workspace API.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "coding/convolutional.h"
@@ -67,6 +70,46 @@ TEST(QuantizedViterbiKernel, SupportedTiersAreBitIdentical) {
       simd::set_viterbi_kernel_override(kernel->name);
       EXPECT_EQ(dec.decode_soft(conf), reference)
           << "tier " << kernel->name << " diverged from scalar on trial " << trial;
+    }
+  }
+}
+
+TEST(QuantizedViterbiKernel, TiersMatchScalarAroundRenormalization) {
+  // Kernel-level parity: final state metrics and every decision word of
+  // each tier against the scalar reference, at step counts around the
+  // 32-step renormalization (1, 6, 31, 32, 33, 64) and over a long
+  // 4006-step (500 B) frame. The SIMD tiers hold the metrics in registers,
+  // so the final metrics also check the store-back.
+  Rng rng(9090);
+  for (const std::size_t steps : {1u, 6u, 31u, 32u, 33u, 64u, 4006u}) {
+    for (int input = 0; input < 3; ++input) {
+      // Uniform soft levels, hard levels with erasures, and all-erasure.
+      std::vector<std::int16_t> q(2 * steps);
+      for (auto& v : q) {
+        if (input == 0)
+          v = static_cast<std::int16_t>(rng.uniform_int(simd::kQuantOne + 1));
+        else if (input == 1)
+          v = static_cast<std::int16_t>(rng.uniform() < 0.2  ? simd::kQuantErasure
+                                        : rng.uniform() < 0.5 ? simd::kQuantOne
+                                                              : 0);
+        else
+          v = simd::kQuantErasure;
+      }
+      std::array<std::int16_t, 64> start;
+      start.fill(simd::kInitOffset);
+      start[0] = 0;
+
+      auto ref_metric = start;
+      std::vector<std::uint64_t> ref_decisions(steps);
+      simd::scalar_viterbi_kernel().acs(q.data(), steps, ref_metric.data(),
+                                        ref_decisions.data());
+      for (const auto* kernel : simd::supported_viterbi_kernels()) {
+        auto metric = start;
+        std::vector<std::uint64_t> decisions(steps);
+        kernel->acs(q.data(), steps, metric.data(), decisions.data());
+        EXPECT_EQ(metric, ref_metric) << kernel->name << ", " << steps << " steps";
+        EXPECT_EQ(decisions, ref_decisions) << kernel->name << ", " << steps << " steps";
+      }
     }
   }
 }
@@ -267,6 +310,36 @@ TEST(ViterbiWorkspace, ReferenceDecoderWorkspaceApiMatchesLegacyApi) {
     dec.decode_soft(conf.data(), conf.size(), ws, out);
     EXPECT_EQ(out, dec.decode_soft(conf)) << "trial " << trial;
   }
+}
+
+/// The historical definition: clamp(std::lround(c * 254), 0, 254).
+long lround_level(double c) {
+  const long v = std::lround(c * static_cast<double>(simd::kQuantOne));
+  return v < 0 ? 0 : (v > simd::kQuantOne ? simd::kQuantOne : v);
+}
+
+TEST(QuantizedViterbi, QuantizeRoundsLikeLroundAtEveryBoundary) {
+  // quantize() rounds halves away from zero without calling lround. Check
+  // it at every level k/254 and every rounding boundary (k + 1/2)/254,
+  // each +-4 ulps, where an off-by-one rounding would show.
+  for (int k = -2; k <= simd::kQuantOne + 2; ++k) {
+    for (const double centre : {k / 254.0, (k + 0.5) / 254.0}) {
+      double c = centre;
+      for (int i = 0; i < 4; ++i) c = std::nextafter(c, -1e9);
+      for (int i = 0; i <= 8; ++i, c = std::nextafter(c, 1e9))
+        EXPECT_EQ(QuantizedViterbi::quantize(c), lround_level(c)) << "c = " << c;
+    }
+  }
+  for (const double c : {0.0, -0.0, -1e-300, -0.5 / 254.0, -1.0, -1e300, 1.0000001, 2.0,
+                         1e6, 1e12}) {
+    EXPECT_EQ(QuantizedViterbi::quantize(c), lround_level(c)) << "c = " << c;
+  }
+  // Infinities clamp to the ends. (lround itself is undefined there.)
+  EXPECT_EQ(QuantizedViterbi::quantize(-std::numeric_limits<double>::infinity()), 0);
+  EXPECT_EQ(QuantizedViterbi::quantize(std::numeric_limits<double>::infinity()),
+            simd::kQuantOne);
+  // NaN is pinned to 0, the level lround's clamp gave it on x86-64.
+  EXPECT_EQ(QuantizedViterbi::quantize(std::numeric_limits<double>::quiet_NaN()), 0);
 }
 
 TEST(QuantizedViterbi, QuantizeLevels) {
