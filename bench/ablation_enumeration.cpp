@@ -6,8 +6,6 @@
 // Paper claims reproduced here: Geosphere needs 4 PED calculations to
 // identify the third-smallest child where Shabany's scheme needs 5 (25%
 // more); Hess/ETH-SD pays sqrt(M) up front per node.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <limits>
 #include <vector>
@@ -69,15 +67,6 @@ const std::vector<EnumRow>& enum_results() {
   return rows;
 }
 
-void EnumerationCost(benchmark::State& state) {
-  const EnumRow& row = enum_results()[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) benchmark::DoNotOptimize(row.geo);
-  bench::set_counter(state, "Geosphere_PEDs", row.geo);
-  bench::set_counter(state, "Shabany_PEDs", row.shabany);
-  bench::set_counter(state, "Hess_PEDs", row.hess);
-  state.SetLabel("QAM" + std::to_string(row.order) + "/k=" + std::to_string(row.k));
-}
-
 // Full-decoder comparison on one workload.
 const std::vector<sim::ComplexityPoint>& decoder_results() {
   static const auto points = [] {
@@ -97,24 +86,11 @@ const std::vector<sim::ComplexityPoint>& decoder_results() {
   return points;
 }
 
-void DecoderComparison(benchmark::State& state) {
-  const auto& p = decoder_results()[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) benchmark::DoNotOptimize(p.avg_ped_per_subcarrier);
-  bench::set_counter(state, "PED_per_sc", p.avg_ped_per_subcarrier);
-  bench::set_counter(state, "nodes_per_sc", p.avg_visited_nodes);
-  state.SetLabel(p.detector);
-}
-
 }  // namespace
-
-BENCHMARK(EnumerationCost)->DenseRange(0, 11)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(DecoderComparison)->DenseRange(0, 3)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   geosphere::bench::init_common(argc, argv);
   std::cout << "=== Ablation: enumeration strategies (paper Section 6.1) ===\n\n";
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
 
   sim::TablePrinter table({"QAM", "children k", "Geosphere", "Shabany", "Hess (ETH-SD)"});
   for (const auto& row : enum_results())
@@ -133,6 +109,5 @@ int main(int argc, char** argv) {
   dec.print(std::cout);
   std::cout << "\nPaper's worked example: 3rd child costs Geosphere 4 PEDs,\n"
                "Shabany 5 (25% more); Hess pays sqrt(M) at node expansion.\n";
-  benchmark::Shutdown();
   return 0;
 }

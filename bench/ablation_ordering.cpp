@@ -3,8 +3,6 @@
 // classic V-BLAST-style ordering detects the strongest stream first. This
 // bench quantifies what ordering buys on top of Geosphere's enumeration
 // and pruning, on well- and poorly-conditioned workloads.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <vector>
 
@@ -56,32 +54,11 @@ const std::vector<Row>& results() {
   return rows;
 }
 
-void AblationOrdering(benchmark::State& state) {
-  const auto index = static_cast<std::size_t>(state.range(0));
-  if (index >= results().size()) {  // Fewer rows under a --channel override.
-    for (auto _ : state) {
-    }
-    state.SetLabel("(unused under --channel)");
-    return;
-  }
-  const Row& row = results()[index];
-  for (auto _ : state) benchmark::DoNotOptimize(row.sorted.avg_ped_per_subcarrier);
-  bench::set_counter(state, "unsorted_PED", row.unsorted.avg_ped_per_subcarrier);
-  bench::set_counter(state, "sorted_PED", row.sorted.avg_ped_per_subcarrier);
-  bench::set_counter(state, "unsorted_nodes", row.unsorted.avg_visited_nodes);
-  bench::set_counter(state, "sorted_nodes", row.sorted.avg_visited_nodes);
-  state.SetLabel(row.channel_name + "/QAM" + std::to_string(row.qam));
-}
-
 }  // namespace
-
-BENCHMARK(AblationOrdering)->DenseRange(0, 3)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   geosphere::bench::init_common(argc, argv);
   std::cout << "=== Ablation: column-norm-sorted QR preprocessing (4x4 @ 20 dB) ===\n\n";
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
 
   sim::TablePrinter table({"channel", "QAM", "PED/sc (as-is)", "PED/sc (sorted)",
                            "nodes/sc (as-is)", "nodes/sc (sorted)"});
@@ -95,6 +72,5 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nOrdering shrinks the searched tree (fewer visited nodes), on top\n"
                "of which Geosphere's enumeration/pruning savings still apply.\n";
-  benchmark::Shutdown();
   return 0;
 }

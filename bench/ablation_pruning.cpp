@@ -2,8 +2,6 @@
 // contribution grows as the target error rate drops. At ~10% FER pruning
 // saves 13-27% over zigzag-only enumeration; at ~1% FER (higher SNR,
 // tighter spheres) the paper reports the gain reaching 47%.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <vector>
 
@@ -62,28 +60,13 @@ const std::vector<Row>& results() {
   return rows;
 }
 
-void AblationPruning(benchmark::State& state) {
-  const Row& row = results()[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) benchmark::DoNotOptimize(row.full_ped);
-  bench::set_counter(state, "SNR_dB", row.snr_db);
-  bench::set_counter(state, "zigzag_only_PED", row.zigzag_only_ped);
-  bench::set_counter(state, "full_PED", row.full_ped);
-  bench::set_counter(state, "pruning_gain_pct", row.pruning_gain_pct);
-  state.SetLabel("QAM" + std::to_string(row.qam) + "@FER" +
-                 std::to_string(static_cast<int>(100 * row.target_fer)) + "%");
-}
-
 }  // namespace
-
-BENCHMARK(AblationPruning)->DenseRange(0, 3)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   geosphere::bench::init_common(argc, argv);
   std::cout << "=== Ablation: geometric pruning gain vs target FER (4x4, channel "
             << geosphere::bench::channel_or("rayleigh") << ") ===\n"
                "Paper: pruning gains grow from 13-27% at 10% FER to ~47% at 1% FER.\n\n";
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
 
   sim::TablePrinter table({"QAM", "target FER", "SNR (dB)", "2DZZ-only PED/sc",
                            "full PED/sc", "pruning gain"});
@@ -95,6 +78,5 @@ int main(int argc, char** argv) {
                    sim::TablePrinter::fmt(row.pruning_gain_pct, 0) + "%"});
   std::cout << '\n';
   table.print(std::cout);
-  benchmark::Shutdown();
   return 0;
 }

@@ -18,20 +18,25 @@
 //    (scalar / sse2 / avx2) on one fixed workload, so the ISA scaling of
 //    the add-compare-select kernel is visible in the baseline.
 //
+// Every ns column comes from bench::time_group (interleaved passes after
+// a warmup round, median of 5), one frame decode per timed op, with the
+// inter-quartile spread of its passes beside it as a `*_noise` field, so a
+// baseline states how far its own timings resolve. BER is counted in a
+// separate untimed pass over the same frames.
+//
 // The workload is decoder-level on purpose: binary-input AWGN confidences
 // (the exact posterior 1/(1+exp(-2y/sigma^2)) for BPSK at noise sigma),
 // encoded with the (133,171) mother code and punctured per the rate under
 // test, erasures reinserted at 0.5 -- the same soft-input contract the
 // link layer's CodedPipeline feeds both decoders.
 //
-// Hand-timed standalone binary (no google-benchmark), like
-// detector_latency: CI runs it with a small --frames and schema-checks
-// the committed BENCH_coded_throughput.json. Shared flags --frames=N,
-// --seed=N; bench-local --json=PATH.
-#include <chrono>
+// CI runs it with a small --frames and checks its JSON and the committed
+// BENCH_coded_throughput.json with tools/check_bench.py. Shared flags
+// --frames=N, --seed=N; bench-local --json=PATH.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -46,12 +51,15 @@
 namespace {
 
 using namespace geosphere;
-using Clock = std::chrono::steady_clock;
+using bench::Timed;
 
 /// Info bits per frame: long enough that traceback and renormalization
 /// amortize like the link layer's frames, short enough for quick CI runs.
 constexpr std::size_t kInfoBits = 1200;
 constexpr std::uint64_t kSeed = 20140817;  ///< SIGCOMM'14 vintage.
+/// time_group's calibration target per timed region: tens of double-decoder
+/// frames, hundreds of quantized ones.
+constexpr double kBudgetMs = 20.0;
 
 /// The documented quantization cost: at every measured (rate, SNR) point
 /// the quantized decoder's BER differs from the double reference by at
@@ -66,16 +74,16 @@ struct PointRecord {
   std::size_t info_bits = 0;
   std::size_t errors_double = 0;
   std::size_t errors_quant = 0;
-  double ns_double = 0.0;  ///< Total decode wall-clock, double reference.
-  double ns_quant = 0.0;   ///< Total decode wall-clock, quantized kernels.
+  double ns_double = 0.0;  ///< Per info bit, double reference.
+  double noise_double = 0.0;
+  double ns_quant = 0.0;  ///< Per info bit, quantized kernels.
+  double noise_quant = 0.0;
+
+  double speedup() const { return ns_quant > 0.0 ? ns_double / ns_quant : 0.0; }
 };
 
 double ber(std::size_t errors, std::size_t bits) {
   return bits ? static_cast<double>(errors) / static_cast<double>(bits) : 0.0;
-}
-
-double ns_per_bit(double total_ns, std::size_t bits) {
-  return bits ? total_ns / static_cast<double>(bits) : 0.0;
 }
 
 /// One frame's paired soft-input workload: the transmitted info bits and
@@ -84,6 +92,18 @@ struct Workload {
   std::vector<BitVector> info;
   std::vector<std::vector<double>> confidences;  ///< Mother-code length.
 };
+
+/// A timeable op that decodes one frame of `w` per call, cycling through
+/// its frames.
+template <class Decoder, class Workspace>
+std::function<void()> frame_decode(const Decoder& dec, const Workload& w, Workspace& ws,
+                                   BitVector& out, std::size_t& next) {
+  return [&dec, &w, &ws, &out, &next] {
+    const std::vector<double>& conf = w.confidences[next];
+    dec.decode_soft(conf.data(), conf.size(), ws, out);
+    next = (next + 1) % w.confidences.size();
+  };
+}
 
 /// Binary-input AWGN at noise stddev `sigma`: confidence is the exact
 /// bit posterior 1/(1+exp(-2y/sigma^2)) of the BPSK observation y.
@@ -129,20 +149,24 @@ PointRecord run_point(const char* label, coding::CodeRate rate, double snr_db,
   BitVector out;
   for (std::size_t f = 0; f < nframes; ++f) {
     const std::vector<double>& conf = w.confidences[f];
-    auto t0 = Clock::now();
     ref.decode_soft(conf.data(), conf.size(), ref_ws, out);
-    rec.ns_double += static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count());
     for (std::size_t i = 0; i < kInfoBits; ++i)
       rec.errors_double += out[i] != w.info[f][i];
-
-    t0 = Clock::now();
     quant.decode_soft(conf.data(), conf.size(), quant_ws, out);
-    rec.ns_quant += static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count());
     for (std::size_t i = 0; i < kInfoBits; ++i)
       rec.errors_quant += out[i] != w.info[f][i];
   }
+
+  std::size_t next_double = 0;
+  std::size_t next_quant = 0;
+  std::vector<Timed> group;
+  group.push_back({frame_decode(ref, w, ref_ws, out, next_double)});
+  group.push_back({frame_decode(quant, w, quant_ws, out, next_quant)});
+  bench::time_group(kBudgetMs, group);
+  rec.ns_double = group[0].ns / kInfoBits;
+  rec.noise_double = group[0].rel_noise;
+  rec.ns_quant = group[1].ns / kInfoBits;
+  rec.noise_quant = group[1].rel_noise;
   return rec;
 }
 
@@ -151,72 +175,32 @@ PointRecord run_point(const char* label, coding::CodeRate rate, double snr_db,
 struct TierRecord {
   const char* name = "";
   double ns_per_info_bit = 0.0;
+  double noise = 0.0;
 };
 
 std::vector<TierRecord> run_tiers(std::size_t nframes) {
   const double sigma = std::pow(10.0, -5.0 / 20.0);
   const Workload w = make_workload(coding::CodeRate::kHalf, sigma, nframes,
                                    bench::point_seed(kSeed, 1000));
+  const auto& kernels = coding::simd::supported_viterbi_kernels();
+  const coding::QuantizedViterbi quant;
+  std::vector<coding::QuantizedViterbiWorkspace> ws(kernels.size());
+  std::vector<std::size_t> next(kernels.size());
+  BitVector out;
+  // One interleaved group over the tiers; each op pins its tier first.
+  std::vector<Timed> group;
+  for (std::size_t k = 0; k < kernels.size(); ++k)
+    group.push_back({[name = kernels[k]->name,
+                      decode = frame_decode(quant, w, ws[k], out, next[k])] {
+      coding::simd::set_viterbi_kernel_override(name);
+      decode();
+    }});
+  bench::time_group(kBudgetMs, group);
+  coding::simd::set_viterbi_kernel_override(nullptr);
   std::vector<TierRecord> tiers;
-  for (const auto* kernel : coding::simd::supported_viterbi_kernels()) {
-    coding::simd::set_viterbi_kernel_override(kernel->name);
-    const coding::QuantizedViterbi quant;
-    coding::QuantizedViterbiWorkspace ws;
-    BitVector out;
-    const auto t0 = Clock::now();
-    for (const auto& conf : w.confidences) quant.decode_soft(conf.data(), conf.size(), ws, out);
-    const double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count());
-    coding::simd::set_viterbi_kernel_override(nullptr);
-    tiers.push_back({kernel->name, ns_per_bit(ns, nframes * kInfoBits)});
-  }
+  for (std::size_t k = 0; k < kernels.size(); ++k)
+    tiers.push_back({kernels[k]->name, group[k].ns / kInfoBits, group[k].rel_noise});
   return tiers;
-}
-
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char ch : in) {
-    if (ch == '"' || ch == '\\') {
-      out += '\\';
-      out += ch;
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(ch));
-      out += buf;
-    } else {
-      out += ch;
-    }
-  }
-  return out;
-}
-
-std::string compiler_id() {
-#if defined(__clang__)
-  return std::string("clang ") + __clang_version__;
-#elif defined(__GNUC__)
-  return std::string("gcc ") + __VERSION__;
-#elif defined(_MSC_VER)
-  return "msvc " + std::to_string(_MSC_VER);
-#else
-  return "unknown";
-#endif
-}
-
-std::string build_flags() {
-#ifdef GEOSPHERE_BENCH_FLAGS
-  return GEOSPHERE_BENCH_FLAGS;
-#else
-  return "unknown";
-#endif
-}
-
-bool native_build() {
-#ifdef GEOSPHERE_BENCH_NATIVE
-  return GEOSPHERE_BENCH_NATIVE != 0;
-#else
-  return false;
-#endif
 }
 
 void write_json(const std::string& path, const std::vector<PointRecord>& points,
@@ -227,34 +211,31 @@ void write_json(const std::string& path, const std::vector<PointRecord>& points,
     std::exit(1);
   }
   std::fprintf(f, "{\n  \"bench\": \"coded_throughput\",\n");
-  std::fprintf(f,
-               "  \"host\": {\"compiler\": \"%s\", \"flags\": \"%s\", "
-               "\"geosphere_native\": %s, \"viterbi_tier\": \"%s\"},\n",
-               json_escape(compiler_id()).c_str(), json_escape(build_flags()).c_str(),
-               native_build() ? "true" : "false",
-               coding::simd::active_viterbi_kernel().name);
+  bench::write_host_json(f);
   std::fprintf(f, "  \"info_bits_per_frame\": %zu,\n  \"ber_bound\": %.1e,\n",
                kInfoBits, kBerBound);
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const PointRecord& p = points[i];
-    const double nd = ns_per_bit(p.ns_double, p.info_bits);
-    const double nq = ns_per_bit(p.ns_quant, p.info_bits);
     std::fprintf(f,
                  "    {\"code\": \"%s\", \"snr_db\": %.1f, \"frames\": %zu, "
                  "\"info_bits\": %zu, \"ber_double\": %.8f, \"ber_quantized\": %.8f, "
                  "\"ber_delta\": %.8f, \"ns_per_bit_double\": %.2f, "
-                 "\"ns_per_bit_quantized\": %.2f, \"quantized_speedup\": %.3f}%s\n",
+                 "\"ns_per_bit_double_noise\": %.3f, \"ns_per_bit_quantized\": %.2f, "
+                 "\"ns_per_bit_quantized_noise\": %.3f, \"quantized_speedup\": %.3f}%s\n",
                  p.code, p.snr_db, p.frames, p.info_bits,
                  ber(p.errors_double, p.info_bits), ber(p.errors_quant, p.info_bits),
                  std::fabs(ber(p.errors_quant, p.info_bits) -
                            ber(p.errors_double, p.info_bits)),
-                 nd, nq, nq > 0.0 ? nd / nq : 0.0, i + 1 < points.size() ? "," : "");
+                 p.ns_double, p.noise_double, p.ns_quant, p.noise_quant, p.speedup(),
+                 i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"tiers\": [\n");
   for (std::size_t i = 0; i < tiers.size(); ++i)
-    std::fprintf(f, "    {\"name\": \"%s\", \"ns_per_info_bit\": %.2f}%s\n",
-                 tiers[i].name, tiers[i].ns_per_info_bit,
+    std::fprintf(f,
+                 "    {\"name\": \"%s\", \"ns_per_info_bit\": %.2f, "
+                 "\"ns_per_info_bit_noise\": %.3f}%s\n",
+                 tiers[i].name, tiers[i].ns_per_info_bit, tiers[i].noise,
                  i + 1 < tiers.size() ? "," : "");
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -263,26 +244,17 @@ void write_json(const std::string& path, const std::vector<PointRecord>& points,
 }  // namespace
 
 int main(int argc, char** argv) {
-  geosphere::bench::init_common(argc, argv);
-
   std::string json_path = "BENCH_coded_throughput.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string token = argv[i];
-    if (token.rfind("--json=", 0) == 0) {
-      json_path = token.substr(7);
-    } else {
-      std::fprintf(stderr, "error: unknown flag %s (supported: --json=PATH --frames=N"
-                           " --seed=N)\n", token.c_str());
-      return 1;
-    }
-  }
+  geosphere::bench::take_flag(argc, argv, "--json", json_path);
+  geosphere::bench::init_common(argc, argv, "--json=PATH");
 
   const std::size_t nframes = geosphere::bench::frames_or(60);
   std::printf("quantized vs double soft Viterbi, %zu frames/point, %zu info bits/frame, "
               "active tier %s\n\n",
               nframes, kInfoBits, geosphere::coding::simd::active_viterbi_kernel().name);
-  std::printf("%5s %6s %12s %12s %12s %11s %11s %9s\n", "code", "SNR", "BER dbl",
-              "BER quant", "|delta|", "ns/bit dbl", "ns/bit qnt", "speedup");
+  std::printf("%5s %6s %12s %12s %12s %11s %6s %11s %6s %9s\n", "code", "SNR", "BER dbl",
+              "BER quant", "|delta|", "ns/bit dbl", "noise", "ns/bit qnt", "noise",
+              "speedup");
 
   const struct {
     const char* label;
@@ -300,20 +272,20 @@ int main(int argc, char** argv) {
     for (const double snr : g.snrs) {
       points.push_back(run_point(g.label, g.rate, snr, nframes, index++));
       const PointRecord& p = points.back();
-      const double nd = ns_per_bit(p.ns_double, p.info_bits);
-      const double nq = ns_per_bit(p.ns_quant, p.info_bits);
-      std::printf("%5s %6.1f %12.6f %12.6f %12.6f %11.2f %11.2f %8.2fx\n", p.code,
-                  p.snr_db, ber(p.errors_double, p.info_bits),
+      std::printf("%5s %6.1f %12.6f %12.6f %12.6f %11.2f %5.1f%% %11.2f %5.1f%% %8.2fx\n",
+                  p.code, p.snr_db, ber(p.errors_double, p.info_bits),
                   ber(p.errors_quant, p.info_bits),
                   std::fabs(ber(p.errors_quant, p.info_bits) -
                             ber(p.errors_double, p.info_bits)),
-                  nd, nq, nq > 0.0 ? nd / nq : 0.0);
+                  p.ns_double, 100.0 * p.noise_double, p.ns_quant, 100.0 * p.noise_quant,
+                  p.speedup());
     }
 
   const auto tiers = run_tiers(nframes);
   std::printf("\nkernel tiers (rate 1/2 @ 5.0 dB):\n");
   for (const auto& t : tiers)
-    std::printf("  %-7s %8.2f ns/info bit\n", t.name, t.ns_per_info_bit);
+    std::printf("  %-7s %8.2f ns/info bit (noise %.1f%%)\n", t.name, t.ns_per_info_bit,
+                100.0 * t.noise);
 
   write_json(json_path, points, tiers);
   std::printf("\nwrote %s (%zu points, %zu tiers)\n", json_path.c_str(), points.size(),

@@ -36,8 +36,6 @@
 // it with a small --budget-ms and validates the schema. Timings are
 // median-of-5 interleaved passes after a warmup round; ratio columns
 // within the surviving timer noise are flagged with '~'.
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -46,7 +44,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -58,7 +55,8 @@
 namespace {
 
 using namespace geosphere;
-using Clock = std::chrono::steady_clock;
+using bench::Timed;
+using bench::time_group;
 
 /// Distinct channel draws per workload. With kBatchMax received vectors
 /// per channel the vector population is kDraws * kBatchMax -- large enough
@@ -116,56 +114,6 @@ const Workload& workload(unsigned order) {
     w.y_batches.push_back(std::move(batches));
   }
   return cache.emplace(order, std::move(w)).first->second;
-}
-
-/// One timeable metric: a callable plus its calibrated iteration count and
-/// the statistics of its recorded passes.
-struct Timed {
-  static constexpr int kPasses = 5;
-
-  std::function<void()> fn;
-  std::size_t iters = 1;
-  double ns = 0.0;         ///< Median-of-kPasses per-op estimate.
-  double rel_noise = 0.0;  ///< Inter-quartile half-spread relative to the median.
-  double samples[kPasses] = {};
-
-  double time_once() const {
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < iters; ++i) fn();
-    return static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count());
-  }
-};
-
-/// Measures a group of related metrics with interleaved repetitions: each
-/// metric's iteration count is first calibrated (doubling until the timed
-/// region exceeds `budget_ms`), then -- after one discarded warmup round --
-/// the group is timed over five round-robin passes and each metric keeps
-/// the median. The interleaving matters on shared or frequency-scaled
-/// hosts: a clock-speed drift between two back-to-back measurements would
-/// otherwise corrupt every ratio derived from them (e.g. batch speedup =
-/// ns/solve over ns/solve_b48); round-robin passes see the same machine
-/// state to first order. The median (rather than the minimum of the old
-/// min-of-3 scheme) is robust against scheduler interference in both
-/// directions, and the surviving inter-quartile spread is reported as a
-/// per-metric noise estimate so ratio columns can flag differences the
-/// timer cannot resolve.
-void time_group(double budget_ms, std::vector<Timed>& group) {
-  for (Timed& t : group) {
-    t.fn();  // Warm-up (first-touch allocations land outside the timing).
-    t.iters = 1;
-    while (t.time_once() < budget_ms * 1e6 && t.iters < (std::size_t{1} << 30))
-      t.iters *= 2;
-  }
-  for (Timed& t : group) t.time_once();  // Discarded warmup round.
-  for (int rep = 0; rep < Timed::kPasses; ++rep)
-    for (Timed& t : group) t.samples[rep] = t.time_once();
-  for (Timed& t : group) {
-    std::sort(std::begin(t.samples), std::end(t.samples));
-    const double median = t.samples[Timed::kPasses / 2];
-    t.ns = median / static_cast<double>(t.iters);
-    t.rel_noise = median > 0.0 ? (t.samples[3] - t.samples[1]) / (2.0 * median) : 0.0;
-  }
 }
 
 /// Single-metric convenience form: median-of-5 ns/op plus relative noise.
@@ -403,58 +351,6 @@ double frame_speedup(const Measurement& m, double syms) {
   return split > 0.0 ? oneshot / split : 0.0;
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars) so a
-/// --channel spec like trace:runs\x.geotrace cannot corrupt the output.
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char ch : in) {
-    if (ch == '"' || ch == '\\') {
-      out += '\\';
-      out += ch;
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(ch));
-      out += buf;
-    } else {
-      out += ch;
-    }
-  }
-  return out;
-}
-
-/// Compiler identification baked in at build time, so a committed baseline
-/// records what produced it.
-std::string compiler_id() {
-#if defined(__clang__)
-  return std::string("clang ") + __clang_version__;
-#elif defined(__GNUC__)
-  return std::string("gcc ") + __VERSION__;
-#elif defined(_MSC_VER)
-  return "msvc " + std::to_string(_MSC_VER);
-#else
-  return "unknown";
-#endif
-}
-
-/// The optimization flags this binary was built with (stamped by CMake; the
-/// fallback covers ad-hoc compiles outside the build system).
-std::string build_flags() {
-#ifdef GEOSPHERE_BENCH_FLAGS
-  return GEOSPHERE_BENCH_FLAGS;
-#else
-  return "unknown";
-#endif
-}
-
-bool native_build() {
-#ifdef GEOSPHERE_BENCH_NATIVE
-  return GEOSPHERE_BENCH_NATIVE != 0;
-#else
-  return false;
-#endif
-}
-
 void write_json(const std::string& path, const std::string& channel,
                 const std::vector<Measurement>& results) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -462,18 +358,9 @@ void write_json(const std::string& path, const std::string& channel,
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
     std::exit(1);
   }
-  const auto& kern = geosphere::sphere::simd::active_kernel();
   std::fprintf(f, "{\n  \"bench\": \"detector_latency\",\n  \"channel\": \"%s\",\n",
-               json_escape(channel).c_str());
-  // Host metadata: committed baselines from different machines / build
-  // configs are only comparable when the JSON says what produced them.
-  std::fprintf(f,
-               "  \"host\": {\"compiler\": \"%s\", \"flags\": \"%s\", "
-               "\"geosphere_native\": %s, \"simd_tier\": \"%s\", "
-               "\"simd_width\": %zu, \"hardware_concurrency\": %u},\n",
-               json_escape(compiler_id()).c_str(), json_escape(build_flags()).c_str(),
-               native_build() ? "true" : "false", kern.name, kern.width,
-               std::thread::hardware_concurrency());
+               bench::json_escape(channel).c_str());
+  bench::write_host_json(f);
   std::fprintf(f, "  \"snr_db\": 25.0,\n  \"results\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Measurement& m = results[i];
@@ -487,7 +374,8 @@ void write_json(const std::string& path, const std::string& channel,
                  "\"ns_oneshot\": %.1f, \"ped_per_solve\": %.2f, "
                  "\"ns_solve_soft\": %.1f, \"ns_solve_soft_b48\": %.1f, "
                  "\"searches_per_soft\": %.2f}%s\n",
-                 json_escape(m.detector).c_str(), m.qam, json_escape(m.dims).c_str(),
+                 bench::json_escape(m.detector).c_str(), m.qam,
+                 bench::json_escape(m.dims).c_str(),
                  m.ns_prepare, m.ns_prepare_b16, m.prepare_speedup(),
                  m.prepare_speedup_noise(), m.ns_solve, m.ns_solve_batch[0],
                  m.ns_solve_batch[1], m.ns_solve_batch[2], m.batch_speedup(),
@@ -502,30 +390,21 @@ void write_json(const std::string& path, const std::string& channel,
 }  // namespace
 
 int main(int argc, char** argv) {
-  geosphere::bench::init_common(argc, argv);
-
-  // Bench-local flags (everything shared is already stripped).
   double budget_ms = 20.0;
   std::string json_path = "BENCH_detector_latency.json";
   std::string detector_filter;  ///< Comma-separated spec allowlist; empty = all.
-  for (int i = 1; i < argc; ++i) {
-    const std::string token = argv[i];
-    if (token.rfind("--budget-ms=", 0) == 0) {
-      budget_ms = std::atof(token.c_str() + 12);
-      if (budget_ms <= 0.0) {
-        std::fprintf(stderr, "error: --budget-ms expects a positive number\n");
-        return 1;
-      }
-    } else if (token.rfind("--json=", 0) == 0) {
-      json_path = token.substr(7);
-    } else if (token.rfind("--detectors=", 0) == 0) {
-      detector_filter = token.substr(12);
-    } else {
-      std::fprintf(stderr, "error: unknown flag %s (supported: --budget-ms=N --json=PATH"
-                           " --detectors=a,b,... --seed=N --channel=SPEC)\n", token.c_str());
+  std::string budget_text;
+  if (geosphere::bench::take_flag(argc, argv, "--budget-ms", budget_text)) {
+    budget_ms = std::atof(budget_text.c_str());
+    if (budget_ms <= 0.0) {
+      std::fprintf(stderr, "error: --budget-ms expects a positive number\n");
       return 1;
     }
   }
+  geosphere::bench::take_flag(argc, argv, "--json", json_path);
+  geosphere::bench::take_flag(argc, argv, "--detectors", detector_filter);
+  geosphere::bench::init_common(argc, argv,
+                                "--budget-ms=N --json=PATH --detectors=a,b,...");
 
   struct Case {
     const char* spec;
@@ -554,7 +433,7 @@ int main(int argc, char** argv) {
               channel.c_str(), probe.h.front().rows(), probe.h.front().cols(), kDraws,
               budget_ms);
   std::printf("kernel tier: %s (width %zu), %s build\n\n", kern.name, kern.width,
-              native_build() ? "native" : "portable");
+              geosphere::bench::native_build() ? "native" : "portable");
   std::printf("%-18s %5s %11s %11s %9s %10s %10s %10s %10s %10s %11s %10s %13s %10s %11s"
               " %10s\n",
               "detector", "QAM", "ns/prepare", "ns/prep_b16", "prepx@16", "ns/solve",

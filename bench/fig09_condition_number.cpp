@@ -4,8 +4,6 @@
 //
 // Paper claims reproduced here: ~60% of 2x2 links exceed 10 dB; 4x4 links
 // are almost always poorly conditioned.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.h"
@@ -26,33 +24,17 @@ const std::vector<sim::ConditioningSeries>& conditioning() {
   return series;
 }
 
-void Fig9(benchmark::State& state) {
-  const auto& series = conditioning()[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) benchmark::DoNotOptimize(series.kappa_sq_db.count());
-
-  bench::set_counter(state, "kappa2_p25_dB", series.kappa_sq_db.percentile(0.25));
-  bench::set_counter(state, "kappa2_median_dB", series.kappa_sq_db.percentile(0.5));
-  bench::set_counter(state, "kappa2_p75_dB", series.kappa_sq_db.percentile(0.75));
-  bench::set_counter(state, "kappa2_p90_dB", series.kappa_sq_db.percentile(0.9));
-  bench::set_counter(state, "P(kappa2>10dB)", series.kappa_sq_db.fraction_above(10.0));
-  bench::set_counter(state, "samples", static_cast<double>(series.kappa_sq_db.count()));
-  state.SetLabel(std::to_string(series.clients) + "x" + std::to_string(series.antennas));
-}
-
 }  // namespace
-
-BENCHMARK(Fig9)->DenseRange(0, 3)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   geosphere::bench::init_common(argc, argv);
   std::cout << "=== Paper Fig. 9: CDF of kappa^2 across testbed links/subcarriers ===\n"
                "Series order: 2x2, 2x4, 3x4, 4x4 (clients x AP antennas).\n"
                "Paper claims: 2x2 above 10 dB for ~60% of links; 4x4 almost always.\n\n";
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
 
   // Figure-style CDF table for eyeballing the curves.
-  sim::TablePrinter table({"config", "p10", "p25", "p50", "p75", "p90", "P(>10dB)"});
+  sim::TablePrinter table({"config", "p10", "p25", "p50", "p75", "p90", "P(>10dB)",
+                           "samples"});
   for (const auto& s : conditioning())
     table.add_row({std::to_string(s.clients) + "x" + std::to_string(s.antennas),
                    sim::TablePrinter::fmt(s.kappa_sq_db.percentile(0.10), 1),
@@ -60,9 +42,9 @@ int main(int argc, char** argv) {
                    sim::TablePrinter::fmt(s.kappa_sq_db.percentile(0.50), 1),
                    sim::TablePrinter::fmt(s.kappa_sq_db.percentile(0.75), 1),
                    sim::TablePrinter::fmt(s.kappa_sq_db.percentile(0.90), 1),
-                   sim::TablePrinter::fmt(s.kappa_sq_db.fraction_above(10.0))});
+                   sim::TablePrinter::fmt(s.kappa_sq_db.fraction_above(10.0)),
+                   std::to_string(s.kappa_sq_db.count())});
   std::cout << "\nkappa^2 distribution (dB):\n";
   table.print(std::cout);
-  benchmark::Shutdown();
   return 0;
 }

@@ -4,8 +4,6 @@
 // Paper claims reproduced here: Lambda > 5 dB on ~30% of 2x2 and ~90% of
 // 4x4 links; with only 2 clients on a 4-antenna AP, degradation is below
 // 3 dB for ~90% of links.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.h"
@@ -26,32 +24,16 @@ const std::vector<sim::ConditioningSeries>& conditioning() {
   return series;
 }
 
-void Fig10(benchmark::State& state) {
-  const auto& series = conditioning()[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) benchmark::DoNotOptimize(series.lambda_db.count());
-
-  bench::set_counter(state, "Lambda_median_dB", series.lambda_db.percentile(0.5));
-  bench::set_counter(state, "Lambda_p90_dB", series.lambda_db.percentile(0.9));
-  bench::set_counter(state, "P(Lambda>5dB)", series.lambda_db.fraction_above(5.0));
-  bench::set_counter(state, "P(Lambda<=3dB)", series.lambda_db.fraction_at_or_below(3.0));
-  bench::set_counter(state, "samples", static_cast<double>(series.lambda_db.count()));
-  state.SetLabel(std::to_string(series.clients) + "x" + std::to_string(series.antennas));
-}
-
 }  // namespace
-
-BENCHMARK(Fig10)->DenseRange(0, 3)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   geosphere::bench::init_common(argc, argv);
   std::cout << "=== Paper Fig. 10: CDF of Lambda (worst-stream ZF SNR degradation) ===\n"
                "Series order: 2x2, 2x4, 3x4, 4x4 (clients x AP antennas).\n"
                "Paper claims: >5 dB on 30% of 2x2 / 90% of 4x4; 2x4 <3 dB for 90%.\n\n";
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
 
   sim::TablePrinter table(
-      {"config", "p10", "p25", "p50", "p75", "p90", "P(>5dB)", "P(<=3dB)"});
+      {"config", "p10", "p25", "p50", "p75", "p90", "P(>5dB)", "P(<=3dB)", "samples"});
   for (const auto& s : conditioning())
     table.add_row({std::to_string(s.clients) + "x" + std::to_string(s.antennas),
                    sim::TablePrinter::fmt(s.lambda_db.percentile(0.10), 1),
@@ -60,9 +42,9 @@ int main(int argc, char** argv) {
                    sim::TablePrinter::fmt(s.lambda_db.percentile(0.75), 1),
                    sim::TablePrinter::fmt(s.lambda_db.percentile(0.90), 1),
                    sim::TablePrinter::fmt(s.lambda_db.fraction_above(5.0)),
-                   sim::TablePrinter::fmt(s.lambda_db.fraction_at_or_below(3.0))});
+                   sim::TablePrinter::fmt(s.lambda_db.fraction_at_or_below(3.0)),
+                   std::to_string(s.lambda_db.count())});
   std::cout << "\nLambda distribution (dB):\n";
   table.print(std::cout);
-  benchmark::Shutdown();
   return 0;
 }

@@ -10,8 +10,6 @@
 // Runs as one declarative sim::SweepSpec per antenna configuration on the
 // shared thread-pooled engine: pass --threads=N to use N cores (results
 // are bit-identical for any thread count).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <vector>
 
@@ -60,26 +58,7 @@ const std::vector<Row>& results() {
   return rows;
 }
 
-void Fig11(benchmark::State& state) {
-  const Row& row = results()[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) benchmark::DoNotOptimize(row.geo.throughput_mbps);
-
-  bench::set_counter(state, "ZF_Mbps", row.zf.throughput_mbps);
-  bench::set_counter(state, "Geosphere_Mbps", row.geo.throughput_mbps);
-  bench::set_counter(state, "gain",
-                     row.zf.throughput_mbps > 0.0
-                         ? row.geo.throughput_mbps / row.zf.throughput_mbps
-                         : 0.0);
-  bench::set_counter(state, "ZF_bestQAM", row.zf.best_qam);
-  bench::set_counter(state, "Geo_bestQAM", row.geo.best_qam);
-  state.SetLabel(std::to_string(row.config.clients) + "x" +
-                 std::to_string(row.config.antennas) + "@" +
-                 std::to_string(static_cast<int>(row.snr)) + "dB");
-}
-
 }  // namespace
-
-BENCHMARK(Fig11)->DenseRange(0, 11)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   geosphere::bench::init_common(argc, argv);
@@ -89,8 +68,6 @@ int main(int argc, char** argv) {
                "48-subcarrier OFDM, per-frame SNR in +/-5 dB window.\n"
             << "Channel: " << geosphere::bench::channel_or("indoor")
             << "  Engine threads: " << geosphere::bench::engine().threads() << "\n\n";
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
 
   sim::TablePrinter table({"config", "SNR (dB)", "ZF (Mbps)", "Geosphere (Mbps)",
                            "gain", "ZF QAM", "Geo QAM"});
@@ -118,6 +95,5 @@ int main(int argc, char** argv) {
   if (zf3 > 0.0)
     std::cout << "\nGeosphere(4 clients) vs ZF(3 clients) at 20 dB: " << geo4 << " vs "
               << zf3 << " Mbps (gain " << sim::TablePrinter::fmt(geo4 / zf3) << "x; paper: up to 1.36x)\n";
-  benchmark::Shutdown();
   return 0;
 }

@@ -4,8 +4,6 @@
 //
 // Paper claim reproduced here: Geosphere's throughput scales ~linearly
 // with the number of clients, zero-forcing's does not.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <vector>
 
@@ -42,26 +40,12 @@ const std::vector<Row>& results() {
   return rows;
 }
 
-void Fig12(benchmark::State& state) {
-  const Row& row = results()[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) benchmark::DoNotOptimize(row.geo.throughput_mbps);
-  bench::set_counter(state, "ZF_Mbps", row.zf.throughput_mbps);
-  bench::set_counter(state, "Geosphere_Mbps", row.geo.throughput_mbps);
-  bench::set_counter(state, "Geo_per_client_Mbps",
-                     row.geo.throughput_mbps / static_cast<double>(row.clients));
-  state.SetLabel(std::to_string(row.clients) + "clients x 4 AP antennas");
-}
-
 }  // namespace
-
-BENCHMARK(Fig12)->DenseRange(0, 3)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   geosphere::bench::init_common(argc, argv);
   geosphere::bench::reject_fixed_dims_channel("fig12_scaling");
   std::cout << "=== Paper Fig. 12: throughput vs number of clients (4-antenna AP, 20 dB) ===\n\n";
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
 
   sim::TablePrinter table({"clients", "ZF (Mbps)", "Geosphere (Mbps)",
                            "Geo per-client (Mbps)"});
@@ -75,6 +59,5 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nExpected shape: Geosphere per-client throughput stays ~flat as\n"
                "clients are added; ZF's sum throughput saturates or regresses.\n";
-  benchmark::Shutdown();
   return 0;
 }

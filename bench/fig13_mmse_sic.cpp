@@ -5,8 +5,6 @@
 // Paper claims reproduced here: all detectors are similar when clients <<
 // antennas; near full load Geosphere pulls ahead (about 2x over ZF at
 // 10x10) and MMSE-SIC lands in between, limited by error propagation.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <vector>
 
@@ -52,26 +50,13 @@ const std::vector<Row>& results() {
   return rows;
 }
 
-void Fig13(benchmark::State& state) {
-  const Row& row = results()[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) benchmark::DoNotOptimize(row.geo.throughput_mbps);
-  bench::set_counter(state, "ZF_Mbps", row.zf.throughput_mbps);
-  bench::set_counter(state, "MMSE_SIC_Mbps", row.sic.throughput_mbps);
-  bench::set_counter(state, "Geosphere_Mbps", row.geo.throughput_mbps);
-  state.SetLabel(std::to_string(row.clients) + "clients x 10 AP antennas");
-}
-
 }  // namespace
-
-BENCHMARK(Fig13)->DenseRange(0, 4)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   geosphere::bench::init_common(argc, argv);
   geosphere::bench::reject_fixed_dims_channel("fig13_mmse_sic");
   std::cout << "=== Paper Fig. 13: 10-antenna AP over Rayleigh fading at 20 dB ===\n"
                "ZF vs MMSE-SIC vs Geosphere, ideal rate adaptation {16,64}-QAM.\n\n";
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
 
   sim::TablePrinter table({"clients", "ZF (Mbps)", "MMSE-SIC (Mbps)",
                            "Geosphere (Mbps)", "Geo/ZF"});
@@ -86,6 +71,5 @@ int main(int argc, char** argv) {
                                               : 0.0)});
   std::cout << '\n';
   table.print(std::cout);
-  benchmark::Shutdown();
   return 0;
 }

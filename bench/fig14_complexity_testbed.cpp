@@ -6,8 +6,6 @@
 // ETH-SD, the savings grow with SNR (denser constellations), reaching
 // ~63% at 25 dB; at high SNR Geosphere's cost is comparable to linear
 // detection (footnote 5).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <map>
 #include <vector>
@@ -65,37 +63,17 @@ const std::vector<Row>& results() {
   return rows;
 }
 
-void Fig14(benchmark::State& state) {
-  const Row& row = results()[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) benchmark::DoNotOptimize(row.geo.avg_ped_per_subcarrier);
-  bench::set_counter(state, "ETH_SD_PED_per_sc", row.eth.avg_ped_per_subcarrier);
-  bench::set_counter(state, "Geosphere_PED_per_sc", row.geo.avg_ped_per_subcarrier);
-  bench::set_counter(state, "savings_pct",
-                     100.0 * (1.0 - row.geo.avg_ped_per_subcarrier /
-                                        row.eth.avg_ped_per_subcarrier));
-  // Footnote 5 reference: ZF costs n_a * n_c complex multiplications per
-  // subcarrier once the filter is formed.
-  bench::set_counter(state, "ZF_complex_mults",
-                     static_cast<double>(row.config.clients * row.config.antennas));
-  state.SetLabel(std::to_string(row.config.clients) + "x" +
-                 std::to_string(row.config.antennas) + "@" +
-                 std::to_string(static_cast<int>(row.snr)) + "dB/QAM" +
-                 std::to_string(row.qam));
-}
-
 }  // namespace
-
-BENCHMARK(Fig14)->DenseRange(0, 11)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   geosphere::bench::init_common(argc, argv);
   std::cout << "=== Paper Fig. 14: PED calculations per subcarrier, ETH-SD vs Geosphere ===\n"
                "Same workloads as Fig. 11 (indoor ensemble, coded frames).\n\n";
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
 
+  // Footnote 5 reference: ZF costs n_a * n_c complex multiplications per
+  // subcarrier once the filter is formed.
   sim::TablePrinter table({"config", "SNR (dB)", "QAM", "ETH-SD PED/sc",
-                           "Geosphere PED/sc", "savings"});
+                           "Geosphere PED/sc", "savings", "ZF cmul/sc"});
   for (const auto& row : results())
     table.add_row(
         {std::to_string(row.config.clients) + "x" + std::to_string(row.config.antennas),
@@ -104,9 +82,9 @@ int main(int argc, char** argv) {
          sim::TablePrinter::fmt(row.geo.avg_ped_per_subcarrier, 1),
          sim::TablePrinter::fmt(
              100.0 * (1.0 - row.geo.avg_ped_per_subcarrier / row.eth.avg_ped_per_subcarrier),
-             0) + "%"});
+             0) + "%",
+         std::to_string(row.config.clients * row.config.antennas)});
   std::cout << '\n';
   table.print(std::cout);
-  benchmark::Shutdown();
   return 0;
 }

@@ -9,8 +9,6 @@
 // constellation size, Geosphere's stays nearly flat (up to ~81% cheaper at
 // 256-QAM on 2x4 Rayleigh, ~70% on 4x4); geometric pruning contributes a
 // further 13-27% over zigzag-only; all variants visit identical nodes.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <vector>
 
@@ -90,27 +88,7 @@ const std::vector<Row>& results() {
   return rows;
 }
 
-void Fig15(benchmark::State& state) {
-  const Row& row = results()[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) benchmark::DoNotOptimize(row.full.avg_ped_per_subcarrier);
-  bench::set_counter(state, "ETH_SD_PED", row.eth.avg_ped_per_subcarrier);
-  bench::set_counter(state, "Zigzag_only_PED", row.zigzag_only.avg_ped_per_subcarrier);
-  bench::set_counter(state, "Full_PED", row.full.avg_ped_per_subcarrier);
-  bench::set_counter(state, "visited_nodes", row.full.avg_visited_nodes);
-  bench::set_counter(state, "SNR_dB", row.snr_db);
-  bench::set_counter(
-      state, "savings_vs_ETH_pct",
-      100.0 * (1.0 - row.full.avg_ped_per_subcarrier / row.eth.avg_ped_per_subcarrier));
-  bench::set_counter(state, "pruning_gain_pct",
-                     100.0 * (1.0 - row.full.avg_ped_per_subcarrier /
-                                        row.zigzag_only.avg_ped_per_subcarrier));
-  state.SetLabel(std::to_string(row.clients) + "x4/" + row.channel_name + "/QAM" +
-                 std::to_string(row.qam));
-}
-
 }  // namespace
-
-BENCHMARK(Fig15)->DenseRange(0, 11)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   geosphere::bench::init_common(argc, argv);
@@ -119,8 +97,6 @@ int main(int argc, char** argv) {
          "(a) 2 clients x 4 AP antennas; (b) 4 clients x 4 AP antennas.\n"
          "SNR per point auto-calibrated to ~10% FER (ML performance is identical\n"
          "for all sphere-decoder variants, so one calibration serves all three).\n\n";
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
 
   sim::TablePrinter table({"config", "channel", "QAM", "SNR@10%FER", "ETH-SD",
                            "2DZZ only", "full Geosphere", "vs ETH", "pruning gain",
@@ -143,6 +119,5 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nN.B.: every sphere-decoder variant above visits the same number of\n"
                "nodes (printed once) -- the Schnorr-Euchner traversal is identical.\n";
-  benchmark::Shutdown();
   return 0;
 }

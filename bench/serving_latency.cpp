@@ -13,13 +13,12 @@
 // asserts that before reporting, so a latency baseline can never be
 // committed from a run whose determinism contract was broken. Emits
 // machine-readable BENCH_serving_latency.json (--json=PATH to relocate)
-// with the same style of "host" block as BENCH_detector_latency.json;
-// CI runs it with a small --ttis and validates the schema.
+// with the shared "host" block; CI runs it with a small --ttis and checks
+// the JSON with tools/check_bench.py.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -35,34 +34,6 @@ using namespace geosphere;
 const char* kSpec =
     "users=24,antennas=4,load=0.7,detector=geosphere,snr=22,qams=4|16|64;"
     "users=12,antennas=4,load=0.4,detector=mmse,snr=18,qams=4|16";
-
-std::string compiler_id() {
-#if defined(__clang__)
-  return std::string("clang ") + __clang_version__;
-#elif defined(__GNUC__)
-  return std::string("gcc ") + __VERSION__;
-#elif defined(_MSC_VER)
-  return "msvc " + std::to_string(_MSC_VER);
-#else
-  return "unknown";
-#endif
-}
-
-std::string build_flags() {
-#ifdef GEOSPHERE_BENCH_FLAGS
-  return GEOSPHERE_BENCH_FLAGS;
-#else
-  return "unknown";
-#endif
-}
-
-bool native_build() {
-#ifdef GEOSPHERE_BENCH_NATIVE
-  return GEOSPHERE_BENCH_NATIVE != 0;
-#else
-  return false;
-#endif
-}
 
 struct RunRecord {
   std::size_t threads = 0;
@@ -87,11 +58,7 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
   std::fprintf(f, "  \"ttis\": %llu,\n  \"seed\": %llu,\n",
                static_cast<unsigned long long>(ttis),
                static_cast<unsigned long long>(seed));
-  std::fprintf(f,
-               "  \"host\": {\"compiler\": \"%s\", \"flags\": \"%s\", "
-               "\"geosphere_native\": %s, \"hardware_concurrency\": %u},\n",
-               compiler_id().c_str(), build_flags().c_str(),
-               native_build() ? "true" : "false", std::thread::hardware_concurrency());
+  bench::write_host_json(f);
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const serve::ServeResult& r = runs[i].result;
@@ -112,27 +79,18 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  geosphere::bench::init_common(argc, argv);
-
   std::uint64_t ttis = 120;
   std::string json_path = "BENCH_serving_latency.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string token = argv[i];
-    if (token.rfind("--ttis=", 0) == 0) {
-      ttis = static_cast<std::uint64_t>(std::atoll(token.c_str() + 7));
-      if (ttis == 0) {
-        std::fprintf(stderr, "error: --ttis expects a positive integer\n");
-        return 1;
-      }
-    } else if (token.rfind("--json=", 0) == 0) {
-      json_path = token.substr(7);
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown flag %s (supported: --ttis=N --json=PATH --seed=N)\n",
-                   token.c_str());
+  std::string ttis_text;
+  if (geosphere::bench::take_flag(argc, argv, "--ttis", ttis_text)) {
+    ttis = static_cast<std::uint64_t>(std::atoll(ttis_text.c_str()));
+    if (ttis == 0) {
+      std::fprintf(stderr, "error: --ttis expects a positive integer\n");
       return 1;
     }
   }
+  geosphere::bench::take_flag(argc, argv, "--json", json_path);
+  geosphere::bench::init_common(argc, argv, "--ttis=N --json=PATH");
   const std::uint64_t seed = geosphere::bench::seed_or(1);
 
   const serve::ServeSpec spec = serve::ServeSpec::parse(kSpec);

@@ -18,10 +18,9 @@
 //  * wall-clock ns per solve_soft (prepare excluded; single-threaded),
 //    with sts_speedup = ns_repeated / ns_sts as the headline.
 //
-// Hand-timed standalone binary (no google-benchmark), like
-// detector_latency: CI runs it with a small --frames and schema-checks
-// the committed BENCH_soft_llr_quality.json. Shared flags --frames=N,
-// --seed=N, --channel=SPEC; bench-local --json=PATH.
+// CI runs it with a small --frames and checks its JSON and the committed
+// BENCH_soft_llr_quality.json with tools/check_bench.py. Shared flags
+// --frames=N, --seed=N, --channel=SPEC; bench-local --json=PATH.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -36,7 +35,6 @@
 #include "coding/viterbi.h"
 #include "common/rng.h"
 #include "detect/spec.h"
-#include "detect/sphere/simd/dispatch.h"
 
 namespace {
 
@@ -168,52 +166,6 @@ PointRecord run_point(unsigned order, double snr_db, std::size_t nframes,
   return rec;
 }
 
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char ch : in) {
-    if (ch == '"' || ch == '\\') {
-      out += '\\';
-      out += ch;
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(ch));
-      out += buf;
-    } else {
-      out += ch;
-    }
-  }
-  return out;
-}
-
-std::string compiler_id() {
-#if defined(__clang__)
-  return std::string("clang ") + __clang_version__;
-#elif defined(__GNUC__)
-  return std::string("gcc ") + __VERSION__;
-#elif defined(_MSC_VER)
-  return "msvc " + std::to_string(_MSC_VER);
-#else
-  return "unknown";
-#endif
-}
-
-std::string build_flags() {
-#ifdef GEOSPHERE_BENCH_FLAGS
-  return GEOSPHERE_BENCH_FLAGS;
-#else
-  return "unknown";
-#endif
-}
-
-bool native_build() {
-#ifdef GEOSPHERE_BENCH_NATIVE
-  return GEOSPHERE_BENCH_NATIVE != 0;
-#else
-  return false;
-#endif
-}
-
 void write_json(const std::string& path, const std::string& channel,
                 const std::vector<PointRecord>& points) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -221,14 +173,9 @@ void write_json(const std::string& path, const std::string& channel,
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
     std::exit(1);
   }
-  const auto& kern = geosphere::sphere::simd::active_kernel();
   std::fprintf(f, "{\n  \"bench\": \"soft_llr_quality\",\n  \"channel\": \"%s\",\n",
-               json_escape(channel).c_str());
-  std::fprintf(f,
-               "  \"host\": {\"compiler\": \"%s\", \"flags\": \"%s\", "
-               "\"geosphere_native\": %s, \"simd_tier\": \"%s\"},\n",
-               json_escape(compiler_id()).c_str(), json_escape(build_flags()).c_str(),
-               native_build() ? "true" : "false", kern.name);
+               bench::json_escape(channel).c_str());
+  bench::write_host_json(f);
   std::fprintf(f, "  \"dims\": \"%zux%zu\",\n  \"llr_diff_bound\": 0.0,\n  \"results\": [\n",
                kAntennas, kClients);
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -257,19 +204,9 @@ void write_json(const std::string& path, const std::string& channel,
 }  // namespace
 
 int main(int argc, char** argv) {
-  geosphere::bench::init_common(argc, argv);
-
   std::string json_path = "BENCH_soft_llr_quality.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string token = argv[i];
-    if (token.rfind("--json=", 0) == 0) {
-      json_path = token.substr(7);
-    } else {
-      std::fprintf(stderr, "error: unknown flag %s (supported: --json=PATH --frames=N"
-                           " --seed=N --channel=SPEC)\n", token.c_str());
-      return 1;
-    }
-  }
+  geosphere::bench::take_flag(argc, argv, "--json", json_path);
+  geosphere::bench::init_common(argc, argv, "--json=PATH");
 
   const std::size_t nframes = geosphere::bench::frames_or(30);
   const std::string channel = geosphere::bench::channel_or("rayleigh");

@@ -2,8 +2,6 @@
 // with condensed runs of the three experiment families (channel
 // characterization Section 5.1, throughput Section 5.2, computational
 // complexity Section 5.3).
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <iostream>
 
@@ -80,25 +78,11 @@ const Summary& summary() {
   return s;
 }
 
-void Table1(benchmark::State& state) {
-  const Summary& s = summary();
-  for (auto _ : state) benchmark::DoNotOptimize(s.gain_4x4);
-  bench::set_counter(state, "P(2x2 poorly conditioned)", s.frac_2x2_poor);
-  bench::set_counter(state, "P(4x4 poorly conditioned)", s.frac_4x4_poor);
-  bench::set_counter(state, "throughput_gain_2x2", s.gain_2x2);
-  bench::set_counter(state, "throughput_gain_4x4", s.gain_4x4);
-  bench::set_counter(state, "complexity_savings_256QAM", s.complexity_savings);
-}
-
 }  // namespace
-
-BENCHMARK(Table1)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   geosphere::bench::init_common(argc, argv);
   std::cout << "=== Paper Table 1: summary of major experimental results ===\n\n";
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
 
   const Summary& s = summary();
   sim::TablePrinter table({"Experiment", "Paper conclusion", "This reproduction"});
@@ -115,6 +99,5 @@ int main(int argc, char** argv) {
                  sim::TablePrinter::fmt(100 * s.complexity_savings, 0) +
                      "% fewer PED calculations at 4x4 256-QAM"});
   table.print(std::cout);
-  benchmark::Shutdown();
   return 0;
 }
